@@ -2,6 +2,8 @@ package pnn
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,5 +215,171 @@ func TestIngestWhileQuerying(t *testing.T) {
 	}
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Errorf("quiescent queries diverged: %v vs %v", a, b)
+	}
+}
+
+// historyMover is one object of a random write history: a ground-truth
+// walk of the grid chain over [0, span] and the tics observed so far, so
+// every observation ever written is consistent with every other.
+type historyMover struct {
+	truth    []int
+	observed map[int]bool
+	lo, hi   int // first and last observed tic
+}
+
+func (m *historyMover) observe(tics ...int) []Observation {
+	var obs []Observation
+	for _, tt := range tics {
+		if tt < 0 || tt >= len(m.truth) || m.observed[tt] {
+			continue
+		}
+		m.observed[tt] = true
+		m.lo, m.hi = min(m.lo, tt), max(m.hi, tt)
+		obs = append(obs, Observation{T: tt, State: m.truth[tt]})
+	}
+	return obs
+}
+
+// TestWriteHistoryMatchesRebuild is the engine half of "a write costs
+// the gap it adds": after a random write history — appends,
+// multi-observation appends, late observations, prepends, adds, refused
+// contradictions — served from a processor whose index was maintained
+// run by run and whose samplers were extended gap by gap, every response
+// (results, stats, sampling block, version vector; fixed-budget and
+// confidence requests) equals that of a processor recovered from a spill
+// of the final objects, which store.NewAt bulk-builds and which adapts
+// every model from nothing.
+func TestWriteHistoryMatchesRebuild(t *testing.T) {
+	const side, span = 9, 40
+	net, err := NewGridNetwork(side, side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		newMover := func() *historyMover {
+			m := &historyMover{truth: []int{rng.Intn(net.NumStates())}, observed: map[int]bool{}, lo: span, hi: 0}
+			for len(m.truth) <= span {
+				cols, _ := net.chain.At(0).Row(m.truth[len(m.truth)-1])
+				m.truth = append(m.truth, int(cols[rng.Intn(len(cols))]))
+			}
+			return m
+		}
+		d := Durability{Dir: t.TempDir()}
+		live, _, err := NewDB(net).BuildShardedDurable(300, 2, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var movers []*historyMover
+		for w := 0; w < 70; w++ {
+			var werr error
+			switch kind := rng.Intn(8); {
+			case len(movers) < 4 || kind == 0:
+				m := newMover()
+				start := 10 + rng.Intn(15)
+				tics := []int{start, start + 3 + rng.Intn(4), start + 9}[:1+rng.Intn(3)]
+				_, werr = live.AddObject(len(movers), m.observe(tics...))
+				movers = append(movers, m)
+			case kind == 1:
+				// Across the grid one tic after the last fix: refused.
+				id := rng.Intn(len(movers))
+				m := movers[id]
+				far := 0
+				if s := m.truth[m.hi]; s%side+s/side < 2 {
+					far = net.NumStates() - 1
+				}
+				before := live.Version()
+				if _, err := live.Observe(id, Observation{T: m.hi + 1, State: far}); err == nil {
+					t.Fatalf("seed %d write %d: contradicting observation accepted", seed, w)
+				}
+				if live.Version() != before {
+					t.Fatalf("seed %d write %d: refused write advanced the version", seed, w)
+				}
+			default:
+				id := rng.Intn(len(movers))
+				m := movers[id]
+				var obs []Observation
+				switch kind {
+				case 2:
+					obs = m.observe(m.hi+2, m.hi+4, m.hi+5) // multi-observation append
+				case 3:
+					obs = m.observe(m.lo + 1 + rng.Intn(max(m.hi-m.lo, 1))) // late observation
+				case 4:
+					obs = m.observe(m.lo - 1 - rng.Intn(3)) // prepend
+				default:
+					obs = m.observe(m.hi + 1 + rng.Intn(5)) // append
+				}
+				if len(obs) > 0 {
+					_, werr = live.Observe(id, obs...)
+				}
+			}
+			if werr != nil {
+				t.Fatalf("seed %d write %d: %v", seed, w, werr)
+			}
+			// Warm every few writes, so later writes find completed
+			// samplers to extend, and others find none or an old one.
+			if w%4 == 3 {
+				if err := live.PrepareAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		battery := func(p *Processor) []Response {
+			if err := p.PrepareAll(); err != nil {
+				t.Fatal(err)
+			}
+			brng := rand.New(rand.NewSource(seed))
+			var out []Response
+			for i := 0; i < 12; i++ {
+				q := AtState(net, brng.Intn(net.NumStates()))
+				ts := 5 + brng.Intn(25)
+				te := ts + brng.Intn(6)
+				for _, req := range []Request{
+					{Semantics: ForAll, Query: q, Ts: ts, Te: te, Tau: 0.05, Seed: int64(i)},
+					{Semantics: Exists, Query: q, Ts: ts, Te: te, K: 3, Tau: 0.05, Seed: int64(i)},
+					{Semantics: Exists, Query: q, Ts: ts, Te: te, Tau: 0.3, Seed: int64(i), Confidence: Confidence{Eps: 0.05, MaxSamples: 4096}},
+					{Semantics: Continuous, Query: q, Ts: ts, Te: min(te, ts+3), Tau: 0.3, Seed: int64(i)},
+				} {
+					resp := p.Run(req)
+					if resp.Err != nil {
+						t.Fatalf("seed %d: %+v: %v", seed, req, resp.Err)
+					}
+					out = append(out, resp)
+				}
+			}
+			return out
+		}
+		want := battery(live)
+		if err := live.SpillNow(); err != nil {
+			t.Fatal(err)
+		}
+		_, _, shardVersions := live.SnapshotDetail()
+		if err := live.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, rec, err := NewDB(net).BuildShardedDurable(300, 2, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Recovered || !reflect.DeepEqual(rec.SpillVersions, shardVersions) {
+			t.Fatalf("seed %d: recovery %+v, want every shard rebuilt from a spill at %v", seed, rec, shardVersions)
+		}
+		got := battery(rebuilt)
+		if err := rebuilt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		nonEmpty := 0
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("seed %d, request %d:\n maintained %+v\n rebuilt    %+v", seed, i, want[i], got[i])
+			}
+			if len(want[i].Results)+len(want[i].Intervals) > 0 {
+				nonEmpty++
+			}
+		}
+		if nonEmpty < len(want)/4 {
+			t.Errorf("seed %d: only %d of %d responses name an object; the battery misses the data", seed, nonEmpty, len(want))
+		}
 	}
 }

@@ -68,11 +68,12 @@ type triple struct {
 // adjBuilder assembles adj matrices from triples without sorting the
 // entries: a counting scatter groups by row, exploiting that the sweeps
 // emit columns in ascending order for each row. The builder's scratch
-// state is reused across timesteps of one Adapt call.
+// state is reused across the timesteps and gaps of one Adapt call.
 type adjBuilder struct {
 	slotOf map[int32]int32 // row state → discovery slot
 	rows   []int32         // slot → row state
 	counts []int32         // slot → entries in the row
+	tris   []triple        // the sweeps' triple buffer, kept between gaps
 }
 
 func newAdjBuilder() *adjBuilder {

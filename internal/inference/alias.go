@@ -29,16 +29,24 @@ func buildRowAlias(a *adj, sc *aliasScratch) rowAlias {
 	ra := rowAlias{
 		prob:  make([]float64, len(a.p)),
 		alias: make([]int32, len(a.p)),
-		next:  make([]int32, len(a.dst)),
+		next:  nextRows(a, sc),
 	}
 	for r := 0; r+1 < len(a.off); r++ {
 		lo, hi := int(a.off[r]), int(a.off[r+1])
 		buildAliasRange(a.p[lo:hi], ra.prob[lo:hi], ra.alias[lo:hi], int32(lo), sc)
 	}
-	for k, d := range a.dst {
-		ra.next[k] = sc.lookup(d)
-	}
 	return ra
+}
+
+// nextRows resolves every destination state of a to its row in the
+// matrix sc currently indexes (-1: none) — the next-row cache of a's
+// alias tables.
+func nextRows(a *adj, sc *aliasScratch) []int32 {
+	next := make([]int32, len(a.dst))
+	for k, d := range a.dst {
+		next[k] = sc.lookup(d)
+	}
+	return next
 }
 
 // aliasDist is an alias table over an explicit state set — the entry

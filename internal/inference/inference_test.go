@@ -549,7 +549,11 @@ func TestExpectedErrorAndModelNames(t *testing.T) {
 	}
 }
 
-func BenchmarkAdapt(b *testing.B) {
+// benchObservations is the fixture of the model benchmarks: a 60-step
+// lifetime with observations every 15 steps along a shortest path of a
+// 5 000-state network, and the chain they are consistent with.
+func benchObservations(b *testing.B) ([]uncertain.Observation, markov.Chain) {
+	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	sp, err := space.Synthetic(5000, 8, rng)
 	if err != nil {
@@ -559,7 +563,6 @@ func BenchmarkAdapt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// A 60-step lifetime with observations every 15 steps along a path.
 	var path []int
 	for len(path) < 61 {
 		path = sp.ShortestPath(rng.Intn(sp.Len()), rng.Intn(sp.Len()))
@@ -568,10 +571,21 @@ func BenchmarkAdapt(b *testing.B) {
 	for t := 0; t <= 60; t += 15 {
 		obs = append(obs, uncertain.Observation{T: t, State: path[t]})
 	}
-	o, err := uncertain.NewObject(1, obs, h)
+	return obs, h
+}
+
+func benchObject(b *testing.B, obs []uncertain.Observation, c markov.Chain) *uncertain.Object {
+	b.Helper()
+	o, err := uncertain.NewObject(1, obs, c)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return o
+}
+
+func BenchmarkAdapt(b *testing.B) {
+	obs, c := benchObservations(b)
+	o := benchObject(b, obs, c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -585,28 +599,8 @@ func BenchmarkAdapt(b *testing.B) {
 // per-object price of O(1) draws, paid inside PrepareAll and on every
 // sampler-cache miss.
 func BenchmarkNewSampler(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	sp, err := space.Synthetic(5000, 8, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := markov.NewHomogeneous(sp.TransitionMatrix(0.5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var path []int
-	for len(path) < 61 {
-		path = sp.ShortestPath(rng.Intn(sp.Len()), rng.Intn(sp.Len()))
-	}
-	var obs []uncertain.Observation
-	for t := 0; t <= 60; t += 15 {
-		obs = append(obs, uncertain.Observation{T: t, State: path[t]})
-	}
-	o, err := uncertain.NewObject(1, obs, h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := Adapt(o)
+	obs, c := benchObservations(b)
+	m, err := Adapt(benchObject(b, obs, c))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -614,6 +608,27 @@ func BenchmarkNewSampler(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewSampler(m)
+	}
+}
+
+// BenchmarkExtendSamplerAppend is what the query after an observation
+// append pays instead of BenchmarkAdapt + BenchmarkNewSampler: the same
+// object with its last observation arriving late, one gap of four adapted
+// and tabled and three carried over.
+func BenchmarkExtendSamplerAppend(b *testing.B) {
+	obs, c := benchObservations(b)
+	reach := uncertain.NewReach()
+	prev, err := ExtendSampler(nil, benchObject(b, obs[:len(obs)-1], c), reach)
+	if err != nil {
+		b.Fatal(err)
+	}
+	upd := benchObject(b, obs, c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExtendSampler(prev, upd, reach); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -79,12 +79,19 @@ func Adapt(o *uncertain.Object) (*Model, error) {
 
 // AdaptShared is Adapt with a caller-supplied reachability cache, so the
 // chain transposes used for diamond computation are shared across the
-// objects of one database. The forward sweep restricts every distribution
-// to the gap's reachability diamond (forward ∩ backward support): states
-// outside it have zero posterior probability by construction, and carrying
-// them (the full forward cone) would make memory explode for objects with
-// long observation gaps and strong idle bias.
+// objects of one database.
 func AdaptShared(o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
+	return adaptFrom(noSampler.model, o, reach)
+}
+
+// adaptFrom is AdaptShared given the model of an earlier version of o
+// (noSampler's: none). Observations are exact, so Algorithm 2 restarts
+// from a unit vector at each one in both directions and factorises by
+// observation gap: every gap prev has already adapted (Object.SameGaps)
+// is taken from it, bit for bit what adapting it again would produce, and
+// only the others are swept. The reverse matrices of the gaps taken stay
+// behind; see ExtendSampler.
+func adaptFrom(prev *Model, o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
 	if reach == nil {
 		reach = uncertain.NewReach()
 	}
@@ -99,29 +106,50 @@ func AdaptShared(o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
 		fwd:   make([]sparse.Vec, n),
 		post:  make([]sparse.Vec, n),
 	}
-
-	// Per-gap reachability diamonds; diamonds[g][k] is the sorted feasible
-	// state set at offset k inside gap g. Computing them errors out on
-	// contradicting observations before any heavy work happens.
-	diamonds := make([][][]int32, len(o.Obs)-1)
-	for g := range diamonds {
-		d, err := reach.Diamond(o, g)
-		if err != nil {
-			return nil, fmt.Errorf("inference: %w", err)
+	// The two marginals no gap owns: a gap fills fwd over (a.T, b.T] and
+	// post over [a.T, b.T).
+	m.fwd[0] = unitSvec(int32(o.First().State)).toVec()
+	m.post[n-1] = unitSvec(int32(o.Last().State)).toVec()
+	bld := newAdjBuilder()
+	for g, pg := range o.SameGaps(prev.obj) {
+		if pg < 0 {
+			if err := m.adaptGap(g, reach, bld); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		diamonds[g] = d
+		lo, hi := o.Obs[g].T-start, o.Obs[g+1].T-start
+		shift := start - prev.start
+		copy(m.f[lo:hi], prev.f[lo+shift:hi+shift])
+		copy(m.post[lo:hi], prev.post[lo+shift:hi+shift])
+		copy(m.fwd[lo+1:hi+1], prev.fwd[lo+1+shift:hi+1+shift])
 	}
-	gap := 0
+	return m, nil
+}
+
+// adaptGap runs Algorithm 2 over observation gap g of the model's object,
+// between observations a and b: the forward phase from a over (a.T, b.T],
+// filling r and fwd, then the backward phase from b over [a.T, b.T),
+// filling f and post. The forward sweep restricts every distribution to
+// the gap's reachability diamond (forward ∩ backward support): states
+// outside it have zero posterior probability by construction, and carrying
+// them (the full forward cone) would make memory explode for objects with
+// long observation gaps and strong idle bias.
+func (m *Model) adaptGap(g int, reach *uncertain.Reach, bld *adjBuilder) error {
+	o, start := m.obj, m.start
+	a, b := o.Obs[g], o.Obs[g+1]
+	// diamond[k] is the sorted feasible state set at a.T+k. Computing it
+	// errors out on contradicting observations before any heavy work
+	// happens.
+	diamond, err := reach.Diamond(o, g)
+	if err != nil {
+		return fmt.Errorf("inference: %w", err)
+	}
 
 	// Forward phase (Algorithm 2, lines 2-10).
-	s := unitSvec(int32(o.First().State))
-	m.fwd[0] = s.toVec()
-	var tris []triple // reused across timesteps
-	bld := newAdjBuilder()
-	for t := start + 1; t <= end; t++ {
-		for gap+1 < len(o.Obs)-1 && t > o.Obs[gap+1].T {
-			gap++
-		}
+	s := unitSvec(int32(a.State))
+	tris := bld.tris
+	for t := a.T + 1; t <= b.T; t++ {
 		mat := o.Chain.At(t - 1)
 		// X'(t) = M(t-1)ᵀ · diag(s(t-1)), stored row-major by target
 		// state i: X'[i][j] = M[j][i] · s[j]  (line 4).
@@ -140,19 +168,19 @@ func AdaptShared(o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
 		// stored matrices) memory-bounded by the set of actually feasible
 		// states.
 		rt, ns := bld.build(tris)
-		ns.restrictTo(diamonds[gap][t-o.Obs[gap].T])
-		if obsState, ok := o.ObservedAt(t); ok {
+		ns.restrictTo(diamond[t-a.T])
+		if t == b.T {
 			// Incorporate the observation (line 8) after checking it is
 			// consistent with the propagated support.
-			if ns.find(int32(obsState)) <= 0 {
-				return nil, fmt.Errorf(
+			if ns.find(int32(b.State)) <= 0 {
+				return fmt.Errorf(
 					"inference: object %d observation at t=%d (state %d) contradicts the chain",
-					o.ID, t, obsState)
+					o.ID, t, b.State)
 			}
-			s = unitSvec(int32(obsState))
+			s = unitSvec(int32(b.State))
 		} else {
 			if !ns.normalizePruned(pruneEps) {
-				return nil, fmt.Errorf("inference: object %d has no reachable states at t=%d", o.ID, t)
+				return fmt.Errorf("inference: object %d has no reachable states at t=%d", o.ID, t)
 			}
 			s = ns
 		}
@@ -160,11 +188,13 @@ func AdaptShared(o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
 		m.fwd[t-start] = s.toVec()
 	}
 
-	// Backward phase (lines 12-16). s currently equals the unit vector of
-	// the final observation, which is the desired posterior at end.
-	m.post[end-start] = s.toVec()
+	// Backward phase (lines 12-16), from the exact unit vector of b,
+	// which s now is. A sweep over the whole object would arrive here
+	// with the next gap's normalized single entry, x·(1/x); starting from
+	// the unit vector keeps this gap a function of its own two
+	// observations whatever that product rounds to.
 	cur := s
-	for t := end - 1; t >= start; t-- {
+	for t := b.T - 1; t >= a.T; t-- {
 		rt := m.r[t+1-start]
 		// X'(t) = R(t+1)ᵀ · diag(s(t+1)): X'[j][i] = R(t+1)[i][j]·s(t+1)[i]
 		// (line 13).
@@ -184,7 +214,8 @@ func AdaptShared(o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
 		m.post[t-start] = ns.toVec()
 		cur = ns
 	}
-	return m, nil
+	bld.tris = tris
+	return nil
 }
 
 // Object returns the object this model was adapted for.
@@ -226,15 +257,6 @@ func (m *Model) Transition(t int) sparse.RowMap {
 		return nil
 	}
 	return m.f[t-m.start].toRowMap()
-}
-
-// transitionAdj exposes the flat storage of F(t) to package-internal
-// consumers.
-func (m *Model) transitionAdj(t int) *adj {
-	if t < m.start || t >= m.end {
-		return nil
-	}
-	return m.f[t-m.start]
 }
 
 // Reverse returns R(t): the time-reversed model mapping time t to t-1

@@ -45,7 +45,39 @@ type cumDist struct {
 // adapted model. The tables live as long as the sampler, which engines
 // cache per object — the build cost is paid once per adaptation, the
 // O(1) draws on every one of the millions of transitions sampled after.
-func NewSampler(m *Model) *Sampler {
+func NewSampler(m *Model) *Sampler { return extendSampler(noSampler, m) }
+
+// noSampler is what a full build extends: the sampler of no object, which
+// shares no gap with any.
+var noSampler = &Sampler{model: &Model{}}
+
+// ExtendSampler builds the sampler of upd given the sampler of an earlier
+// version of the object (nil: none, a full build): every observation gap
+// the two share keeps prev's adapted matrices, marginals and tables, and
+// Algorithm 2 and the table construction run only over the gaps prev
+// lacks — one for an appended observation. The result is element for
+// element what NewSampler(AdaptShared(upd)) builds, with the reverse
+// matrices released (Model.ReleaseReverse): the gaps taken from prev
+// never had theirs kept. prev is only read and stays usable, also when
+// upd contradicts its chain, which returns AdaptShared's error.
+func ExtendSampler(prev *Sampler, upd *uncertain.Object, reach *uncertain.Reach) (*Sampler, error) {
+	if prev == nil {
+		prev = noSampler
+	}
+	m, err := adaptFrom(prev.model, upd, reach)
+	if err != nil {
+		return nil, err
+	}
+	s := extendSampler(prev, m)
+	m.ReleaseReverse()
+	return s, nil
+}
+
+// extendSampler tables m, copying from prev the tables of the timesteps
+// inside gaps the two models share: the transition tables over
+// [a.T, b.T) and the entry distributions over the same range, which read
+// nothing but that gap's F and posteriors.
+func extendSampler(prev *Sampler, m *Model) *Sampler {
 	n := m.end - m.start
 	s := &Sampler{
 		model:     m,
@@ -54,20 +86,42 @@ func NewSampler(m *Model) *Sampler {
 		postAlias: make([]aliasDist, n+1),
 	}
 	sc := &aliasScratch{}
-	// Walk time backwards: when the loop reaches t, the scratch still
-	// indexes F(t+1) from the previous iteration — exactly the lookup
-	// the t → t+1 tables need for their next-row cache (empty at
-	// t == end-1, where no matrix leaves the final timestep).
-	for t := m.end; t >= m.start; t-- {
-		if t < m.end {
-			s.alias[t-m.start] = buildRowAlias(m.transitionAdj(t), sc)
+	// The entry distribution at the model end belongs to no gap; nothing
+	// is indexed yet, so its rows resolve to -1 (no transition follows).
+	s.setEntry(n, sc)
+	same := m.obj.SameGaps(prev.model.obj)
+	for g := len(same) - 1; g >= 0; g-- {
+		lo, hi := m.obj.Obs[g].T-m.start, m.obj.Obs[g+1].T-m.start
+		// Walk time backwards with the scratch indexing F(t+1), the lookup
+		// the t → t+1 tables need for their next-row cache. At the gap's
+		// last step that is the first matrix of the following gap (none at
+		// the model end).
+		sc.index(m.f[hi])
+		if same[g] >= 0 {
+			shift := m.start - prev.model.start
+			copy(s.alias[lo:hi], prev.alias[lo+shift:hi+shift])
+			copy(s.postCum[lo:hi], prev.postCum[lo+shift:hi+shift])
+			copy(s.postAlias[lo:hi], prev.postAlias[lo+shift:hi+shift])
+			// The one table of a shared gap that looks outside it: the
+			// following gap may be new, or gone.
+			s.alias[hi-1].next = nextRows(m.f[hi-1], sc)
+			continue
 		}
-		sc.index(m.transitionAdj(t)) // nil at t == end: de-indexes
-		cd := cumOf(m.Posterior(t), sc)
-		s.postCum[t-m.start] = cd
-		s.postAlias[t-m.start] = aliasOf(cd, sc)
+		for t := hi - 1; t >= lo; t-- {
+			s.alias[t] = buildRowAlias(m.f[t], sc)
+			sc.index(m.f[t])
+			s.setEntry(t, sc)
+		}
 	}
 	return s
+}
+
+// setEntry builds the entry distributions at offset t from the posterior
+// marginal there; sc must index the matrix leaving that timestep.
+func (s *Sampler) setEntry(t int, sc *aliasScratch) {
+	cd := cumOf(s.model.post[t], sc)
+	s.postCum[t] = cd
+	s.postAlias[t] = aliasOf(cd, sc)
 }
 
 // stepRow draws the successor of the state at row index `row` of F(t)

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,11 @@ import (
 type samplerCache struct {
 	mu      sync.Mutex
 	entries map[int]*cacheEntry
+	// seeds holds, for an object invalidated by a write and not rebuilt
+	// since, the last sampler completed for an earlier version of it: the
+	// next build extends that instead of starting over. An object has a
+	// seed or an entry, never both.
+	seeds map[int]*inference.Sampler
 
 	// The counters are shared between a cache and every cache derived
 	// from it (see deriveWithout), so CacheStats stays cumulative across
@@ -42,6 +48,7 @@ type cacheEntry struct {
 func newSamplerCache() *samplerCache {
 	return &samplerCache{
 		entries: make(map[int]*cacheEntry),
+		seeds:   make(map[int]*inference.Sampler),
 		builds:  new(atomic.Int64),
 		hits:    new(atomic.Int64),
 	}
@@ -51,35 +58,42 @@ func newSamplerCache() *samplerCache {
 // in-flight entry except those for the object indices in drop — the
 // carry-over half of a snapshot swap: untouched objects keep their
 // adapted samplers, updated ones re-adapt lazily in the derived engine.
+// A dropped entry that completed becomes the seed of that re-adaptation;
+// one still in flight or failed leaves none, and the object starts over.
 // In-flight entries are safe to share: their ready channel is closed by
 // whichever engine started the build. The cumulative counters are
 // shared, not copied.
 func (c *samplerCache) deriveWithout(drop []int) *samplerCache {
-	dropSet := make(map[int]bool, len(drop))
-	for _, oi := range drop {
-		dropSet[oi] = true
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	nc := &samplerCache{
-		entries: make(map[int]*cacheEntry, len(c.entries)),
+		entries: maps.Clone(c.entries),
+		seeds:   maps.Clone(c.seeds),
 		builds:  c.builds,
 		hits:    c.hits,
 	}
-	for oi, e := range c.entries {
-		if !dropSet[oi] {
-			nc.entries[oi] = e
+	for _, oi := range drop {
+		if e, ok := nc.entries[oi]; ok {
+			delete(nc.entries, oi)
+			select {
+			case <-e.ready:
+				if e.s != nil {
+					nc.seeds[oi] = e.s
+				}
+			default:
+			}
 		}
 	}
 	return nc
 }
 
-// get returns the sampler for object oi, building it with build() on first
-// use. The boolean reports whether this call performed the build. Errors
-// are cached: an object whose observations cannot be adapted keeps failing
-// without redoing the work, until an update to the object invalidates its
-// entry (deriveWithout).
-func (c *samplerCache) get(oi int, build func() (*inference.Sampler, error)) (*inference.Sampler, bool, error) {
+// get returns the sampler for object oi, building it on first use with
+// build(seed), seed being the object's seed sampler (nil: none), which
+// the new entry replaces. The boolean reports whether this call performed
+// the build. Errors are cached: an object whose observations cannot be
+// adapted keeps failing without redoing the work, until an update to the
+// object invalidates its entry (deriveWithout).
+func (c *samplerCache) get(oi int, build func(seed *inference.Sampler) (*inference.Sampler, error)) (*inference.Sampler, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[oi]; ok {
 		c.mu.Unlock()
@@ -89,6 +103,8 @@ func (c *samplerCache) get(oi int, build func() (*inference.Sampler, error)) (*i
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[oi] = e
+	seed := c.seeds[oi]
+	delete(c.seeds, oi)
 	c.mu.Unlock()
 
 	func() {
@@ -102,7 +118,7 @@ func (c *samplerCache) get(oi int, build func() (*inference.Sampler, error)) (*i
 			}
 			close(e.ready)
 		}()
-		e.s, e.err = build()
+		e.s, e.err = build(seed)
 	}()
 	c.builds.Add(1)
 	return e.s, true, e.err
@@ -132,13 +148,11 @@ func (e *Engine) Sampler(oi int) (*inference.Sampler, error) {
 }
 
 func (e *Engine) sampler(oi int) (*inference.Sampler, bool, error) {
-	return e.cache.get(oi, func() (*inference.Sampler, error) {
-		m, err := inference.AdaptShared(e.tree.Objects()[oi], e.reach)
+	return e.cache.get(oi, func(seed *inference.Sampler) (*inference.Sampler, error) {
+		s, err := inference.ExtendSampler(seed, e.tree.Objects()[oi], e.reach)
 		if err != nil {
 			return nil, fmt.Errorf("query: adapting object %d: %w", oi, err)
 		}
-		s := inference.NewSampler(m)
-		m.ReleaseReverse()
 		return s, nil
 	})
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -153,6 +154,57 @@ func TestNewEngineFromCarriesCache(t *testing.T) {
 	}
 }
 
+// TestDeriveWithoutSeeds pins which sampler an invalidated object's next
+// build extends: the last one completed for it, through any number of
+// derivations until the object is rebuilt; never one still in flight or
+// failed; and nothing once the rebuild has taken it.
+func TestDeriveWithoutSeeds(t *testing.T) {
+	_, _, eng := lineDB(t, 10, []uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}})
+	done, err := eng.Sampler(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedOf := func(c *samplerCache, oi int) (seed *inference.Sampler) {
+		t.Helper()
+		if _, built, _ := c.get(oi, func(s *inference.Sampler) (*inference.Sampler, error) {
+			seed = s
+			return done, nil
+		}); !built {
+			t.Fatalf("object %d was not rebuilt", oi)
+		}
+		return seed
+	}
+
+	// Object 0 completed, 1 failed, 2 is in flight, 3 was never asked for.
+	c := newSamplerCache()
+	seedOf(c, 0)
+	c.get(1, func(*inference.Sampler) (*inference.Sampler, error) { return nil, errors.New("contradiction") })
+	c.entries[2] = &cacheEntry{ready: make(chan struct{})}
+
+	d := c.deriveWithout([]int{0, 1, 2, 3})
+	if len(d.entries) != 0 {
+		t.Fatalf("derived cache kept %d invalidated entries", len(d.entries))
+	}
+	d2 := d.deriveWithout([]int{0}) // invalidated again before anyone rebuilt it
+	for oi, want := range []*inference.Sampler{done, nil, nil, nil} {
+		if got := seedOf(d2, oi); got != want {
+			t.Errorf("object %d rebuilt from seed %p, want %p", oi, got, want)
+		}
+	}
+	// Rebuilt in d2: its seed is spent there, and a cache derived after
+	// the rebuild seeds the next one from the rebuilt sampler.
+	if len(d2.seeds) != 0 {
+		t.Errorf("%d seeds left after every object was rebuilt", len(d2.seeds))
+	}
+	if got := seedOf(d2.deriveWithout([]int{0}), 0); got != done {
+		t.Errorf("rebuilt object seeds from %p, want its rebuilt sampler %p", got, done)
+	}
+	// d never rebuilt object 0 and still holds the seed for its own readers.
+	if got := seedOf(d, 0); got != done {
+		t.Errorf("sibling cache lost its seed: %p", got)
+	}
+}
+
 // TestPrepareAllWarmsCache checks PrepareAll adapts everything (in
 // parallel) and later queries run entirely from cache with identical
 // results.
@@ -209,13 +261,13 @@ func TestPrepareAllWarmsCache(t *testing.T) {
 // error, and later lookups return it immediately instead of blocking.
 func TestSamplerCachePanicContained(t *testing.T) {
 	c := newSamplerCache()
-	_, built, err := c.get(0, func() (*inference.Sampler, error) { panic("boom") })
+	_, built, err := c.get(0, func(*inference.Sampler) (*inference.Sampler, error) { panic("boom") })
 	if !built || err == nil {
 		t.Fatalf("panicking build: built=%v err=%v, want built with error", built, err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.get(0, func() (*inference.Sampler, error) {
+		_, _, err := c.get(0, func(*inference.Sampler) (*inference.Sampler, error) {
 			t.Error("second lookup must not rebuild")
 			return nil, nil
 		})

@@ -136,7 +136,9 @@ func NewEngine(tree *ustree.Tree, samples int) *Engine {
 // NewEngineFrom derives an engine over tree, carrying over prev's
 // configuration and sampler cache except for the object indices in
 // invalidate, whose models must be re-adapted against their updated
-// observations. Object indices must mean the same thing in both trees
+// observations — lazily, at the next query that touches them, and
+// extending the sampler they had (inference.ExtendSampler) where it was
+// complete. Object indices must mean the same thing in both trees
 // (appends and in-place updates preserve them). The derived engine
 // shares prev's cumulative cache counters and chain-transpose cache;
 // prev itself stays fully usable over its own tree, which is how

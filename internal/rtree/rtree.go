@@ -64,30 +64,6 @@ func New(capacity int) *Tree {
 // Len returns the number of stored items.
 func (t *Tree) Len() int { return t.size }
 
-// Clone returns a deep copy of the tree. Boxes and items are values, so
-// the copy shares no mutable structure with the original: inserts and
-// deletes on either tree leave the other untouched. Cost is linear in
-// the number of nodes.
-func (t *Tree) Clone() *Tree {
-	return &Tree{
-		root:       cloneNode(t.root),
-		size:       t.size,
-		maxEntries: t.maxEntries,
-		minEntries: t.minEntries,
-	}
-}
-
-func cloneNode(n *node) *node {
-	cp := &node{level: n.level, entries: make([]entry, len(n.entries))}
-	copy(cp.entries, n.entries)
-	if !n.isLeaf() {
-		for i := range cp.entries {
-			cp.entries[i].child = cloneNode(cp.entries[i].child)
-		}
-	}
-	return cp
-}
-
 // Insert adds item with bounding box b.
 func (t *Tree) Insert(b Box, item Item) {
 	t.insertEntry(entry{box: b, item: item}, 0, make(map[int]bool))

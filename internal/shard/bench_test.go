@@ -49,8 +49,8 @@ func TestShardedIngestCloneBytes(t *testing.T) {
 }
 
 // BenchmarkShardedIngest measures the copy-on-write cost of one
-// AddObject as the shard count grows. Every write clones only the
-// owning shard's R*-tree and bookkeeping slices, so bytes/op should
+// AddObject as the shard count grows. Every write copies only the
+// owning shard's object table and run headers, so bytes/op should
 // drop roughly by the shard factor — the headline reason to shard an
 // ingestion-heavy deployment.
 func BenchmarkShardedIngest(b *testing.B) {

@@ -8,6 +8,7 @@ package space
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pnn/internal/geo"
@@ -54,7 +55,7 @@ func New(pts []geo.Point, adj [][]int32) (*Space, error) {
 				return nil, fmt.Errorf("space: state %d has a self-edge", i)
 			}
 		}
-		sortInt32(row)
+		slices.Sort(row)
 	}
 	s.index = newGridIndex(pts, s.bounds)
 	return s, nil
@@ -173,13 +174,4 @@ func (s *Space) BuildTransitionMatrix(weight func(i, j int) float64) (*sparse.CS
 		}
 	}
 	return sparse.NewCSR(len(s.pts), elems)
-}
-
-func sortInt32(a []int32) {
-	// Insertion sort: neighbour lists are short (≈ branching factor).
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

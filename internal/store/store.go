@@ -9,11 +9,12 @@
 // disturbs an in-flight query — it simply keeps answering from the
 // version it started on. Writes (AddObject, Observe) are serialized by a
 // mutex, build a private copy-on-write successor (ustree.Clone + Insert
-// for new objects, an incremental re-index recomputing only the updated
-// object's diamonds for observation appends), freeze it, and publish it
-// with one atomic store. The successor engine carries
-// over the adapted sampler of every untouched object and invalidates
-// only the updated ones, so ingestion does not cold-start the cache.
+// for new objects, ustree.WithUpdatedObject for observation writes: the
+// per-object run headers copied, the diamonds of the gaps the write adds
+// computed), freeze it, and publish it with one atomic store. The
+// successor engine carries over the adapted sampler of every untouched
+// object, and an updated object's as the seed its next build extends by
+// the new gaps, so ingestion does not cold-start the cache.
 package store
 
 import (
@@ -107,10 +108,12 @@ func NewLenient(sp *space.Space, objs []*uncertain.Object, samples int) (*Store,
 // NewAt is New with an explicit starting version: recovery rebuilds a
 // store from a spilled object set and needs the snapshot chain to resume
 // at the version the spill captured, not restart at 1. This is exact,
-// not approximate: Build, Insert and WithUpdatedObject all register gaps
-// in the same (object, gap)-ascending order, so bulk-rebuilding the
-// final object set yields byte-for-byte the index (and pruning behavior)
-// the original incremental write history produced.
+// not approximate, because build history cannot reach an answer: the
+// filter step is a function of the objects' gap rectangles, and a gap's
+// rectangles and adapted model of its two observations and the chain
+// alone. The bulk-built final object set therefore prunes and samples
+// exactly as the write history that produced it did (property-tested in
+// ustree, inference and the facade's TestWriteHistoryMatchesRebuild).
 func NewAt(sp *space.Space, objs []*uncertain.Object, samples int, version int64) (*Store, error) {
 	if version < 1 {
 		return nil, fmt.Errorf("store: NewAt version %d < 1", version)
@@ -168,8 +171,9 @@ func (s *Store) SetParallelism(workers int) {
 
 // AddObject indexes a new object and publishes the successor snapshot,
 // which it returns. The object's ID must be unused and its observations
-// consistent with its chain. Cost is one R*-tree clone plus the new
-// object's diamonds; the sampler cache carries over completely.
+// consistent with its chain. Cost is one copy of the per-object run
+// headers plus the new object's diamonds; the sampler cache carries over
+// completely.
 func (s *Store) AddObject(o *uncertain.Object) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -199,8 +203,8 @@ func (s *Store) AddObject(o *uncertain.Object) (*Snapshot, error) {
 // observations are accepted as long as the merged sequence stays
 // consistent: duplicate timestamps and motions the chain cannot realize
 // are rejected, leaving the current snapshot untouched. The object
-// keeps its engine index; only its sampler is invalidated, every other
-// object's adapted model carries over.
+// keeps its engine index; only its sampler is invalidated, into the seed
+// of its successor; every other object's adapted model carries over.
 func (s *Store) Observe(id int, obs []uncertain.Observation) (*Snapshot, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("store: Observe(%d) with no observations", id)
@@ -218,9 +222,8 @@ func (s *Store) Observe(id int, obs []uncertain.Observation) (*Snapshot, error) 
 	if err != nil {
 		return nil, err
 	}
-	// The incremental rebuild recomputes only upd's diamonds (rejecting
-	// contradicting updates before anything is published) and reuses
-	// every other object's precomputed approximation; see
+	// Only the diamonds of the gaps the write adds are computed, which
+	// rejects contradicting updates before anything is published; see
 	// Tree.WithUpdatedObject for the exact cost model.
 	tree, err := cur.Engine.Tree().WithUpdatedObject(oi, upd, s.reach)
 	if err != nil {

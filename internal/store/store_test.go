@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"pnn/internal/markov"
 	"pnn/internal/query"
@@ -251,5 +252,38 @@ func BenchmarkObserve(b *testing.B) {
 		if _, err := s.Observe(id, []uncertain.Observation{{T: 9 + i/100, State: st + 2}}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestObserveLongGapCompletes guards the far-future-observe hazard: an
+// observation hundreds of tics ahead sweeps a diamond whose frontier is
+// most of the network at every step, under the store lock. Reach.Diamond
+// once sorted each frontier with an insertion sort and a 200-tic gap over
+// 10 000 states held the lock for seconds (a 1 000-tic one for a minute);
+// the bound is an order of magnitude above what the sweep costs now.
+func TestObserveLongGapCompletes(t *testing.T) {
+	sp, err := space.Grid(100, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := markov.NewHomogeneous(sp.TransitionMatrix(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const home = 50*100 + 50
+	s, err := New(sp, []*uncertain.Object{mkObj(t, 1, c, uncertain.Observation{T: 0, State: home})}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := time.Now()
+	snap, err := s.Observe(1, []uncertain.Observation{{T: 200, State: home}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(begin); took > 30*time.Second {
+		t.Errorf("a 200-tic-gap Observe held the store for %v", took)
+	}
+	if r, ok := snap.Engine.Tree().RectAt(0, 100); !ok || r != sp.Bounds() {
+		t.Errorf("mid-gap rectangle %v (alive %v), want the whole grid %v", r, ok, sp.Bounds())
 	}
 }

@@ -104,6 +104,30 @@ func (o *Object) GapAt(t int) (int, bool) {
 	return g, true
 }
 
+// SameGaps maps each observation gap g of o to the index of the identical
+// gap of prev — the same two observations over the same chain — or -1
+// where prev (which may be nil) has none. Observations are exact, so a
+// gap's reachability diamond and its adapted model are functions of those
+// two observations and the chain alone: whatever was computed for prev's
+// gap holds for o's. This is what lets a write cost the gaps it adds.
+func (o *Object) SameGaps(prev *Object) []int {
+	same := make([]int, len(o.Obs)-1)
+	pg := 0
+	for g := range same {
+		same[g] = -1
+		if prev == nil || prev.Chain != o.Chain {
+			continue
+		}
+		for pg+1 < len(prev.Obs) && prev.Obs[pg].T < o.Obs[g].T {
+			pg++
+		}
+		if pg+1 < len(prev.Obs) && prev.Obs[pg] == o.Obs[g] && prev.Obs[pg+1] == o.Obs[g+1] {
+			same[g] = pg
+		}
+	}
+	return same
+}
+
 // Path is a concrete (certain) trajectory realization for one object: the
 // state occupied at each timestep from Start to Start+len(States)-1.
 type Path struct {

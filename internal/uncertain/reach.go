@@ -2,6 +2,7 @@ package uncertain
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pnn/internal/sparse"
@@ -92,7 +93,7 @@ func (r *Reach) Diamond(o *Object, gap int) ([][]int32, error) {
 				"uncertain: object %d observations at t=%d and t=%d are contradicting (no possible state at offset %d)",
 				o.ID, a.T, b.T, k)
 		}
-		sortInt32(states)
+		slices.Sort(states)
 		out[k] = states
 	}
 	return out, nil
@@ -108,12 +109,4 @@ func (r *Reach) CheckConsistent(o *Object) error {
 		}
 	}
 	return nil
-}
-
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -1,8 +1,14 @@
 // Package ustree implements the UST-tree of Section 6 (Emrich et al.,
 // CIKM 2012 — reference [25]): a spatio-temporal index over uncertain
 // trajectories. For every observation gap of every object it materializes
-// the reachability diamond, bounds it with per-timestep rectangles and one
-// gap-level (x, y, t) MBR, and indexes the gap MBRs in an R*-tree.
+// the reachability diamond and bounds it with per-timestep rectangles,
+// kept as one run of gaps per object in time order. The paper's access
+// method over the gap MBRs is deliberately absent: the filter step needs
+// every object whose lifetime meets the query interval (its pruning
+// distance is a k-th smallest dmax over all of them), which a lifetime
+// test per object answers, and what Section 6 contributes to it — the
+// diamond approximation and dmin/dmax pruning — lives in the rectangles.
+// In exchange an observation append costs the one gap it adds.
 //
 // At query time the index produces, for a query position function q(t) and
 // a time interval T:
@@ -25,16 +31,14 @@ import (
 	"math"
 
 	"pnn/internal/geo"
-	"pnn/internal/rtree"
 	"pnn/internal/space"
 	"pnn/internal/uncertain"
 )
 
 // gapApprox is the approximation of one observation gap: per-timestep
-// bounding rectangles of the diamond plus their union.
+// bounding rectangles of the diamond. Once built it is immutable and
+// shared between every tree version that indexes the gap.
 type gapApprox struct {
-	obj   int // index into Tree.objs
-	gap   int // gap index within the object; -1 for single-observation objects
 	t0    int // first timestep covered
 	rects []geo.Rect
 }
@@ -48,10 +52,12 @@ type gapApprox struct {
 // Clone (copy-on-write), swapping the frozen copy in atomically — the
 // discipline implemented by internal/store.
 type Tree struct {
-	sp      *space.Space
-	objs    []*uncertain.Object
-	gaps    []gapApprox
-	rt      *rtree.Tree
+	sp   *space.Space
+	objs []*uncertain.Object
+	// runs[oi] holds object oi's gaps in time order, indexed by gap; a
+	// single-observation object has one run entry covering its instant.
+	runs    [][]gapApprox
+	leaves  int    // total number of gaps across runs
 	horizon [2]int // min/max observed timestamps across the database
 	frozen  bool   // published to concurrent readers; Insert refused
 }
@@ -90,33 +96,37 @@ func Build(sp *space.Space, objs []*uncertain.Object, reach *uncertain.Reach) (*
 	t := &Tree{
 		sp:      sp,
 		objs:    objs,
-		rt:      rtree.New(0),
+		runs:    make([][]gapApprox, len(objs)),
 		horizon: [2]int{math.MaxInt32, math.MinInt32},
 	}
 	for oi, o := range objs {
-		t.extendHorizon(o)
-		gaps, err := computeGaps(sp, o, oi, reach)
+		run, err := computeRun(sp, o, reach, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		for _, g := range gaps {
-			t.addGap(g)
-		}
+		t.setRun(oi, run)
 	}
 	return t, nil
 }
 
-// computeGaps materializes the per-timestep rectangle approximation of
-// every observation gap of o (to be registered as object index oi) —
-// the expensive reachability sweeps of the index build.
-func computeGaps(sp *space.Space, o *uncertain.Object, oi int, reach *uncertain.Reach) ([]gapApprox, error) {
+// computeRun materializes the per-timestep rectangle approximation of
+// every observation gap of o — the expensive reachability sweeps of the
+// index build. Gaps o shares with prev (same two observations, same
+// chain; prev may be nil) take their rectangles from prevRun, prev's run,
+// so only gaps prev does not have are swept.
+func computeRun(sp *space.Space, o *uncertain.Object, reach *uncertain.Reach, prev *uncertain.Object, prevRun []gapApprox) ([]gapApprox, error) {
 	if len(o.Obs) == 1 {
 		ob := o.Obs[0]
 		r := geo.RectFromPoint(sp.Point(ob.State))
-		return []gapApprox{{obj: oi, gap: -1, t0: ob.T, rects: []geo.Rect{r}}}, nil
+		return []gapApprox{{t0: ob.T, rects: []geo.Rect{r}}}, nil
 	}
-	gaps := make([]gapApprox, 0, len(o.Obs)-1)
-	for g := 0; g+1 < len(o.Obs); g++ {
+	same := o.SameGaps(prev)
+	run := make([]gapApprox, len(same))
+	for g, pg := range same {
+		if pg >= 0 {
+			run[g] = prevRun[pg]
+			continue
+		}
 		d, err := reach.Diamond(o, g)
 		if err != nil {
 			return nil, fmt.Errorf("ustree: %w", err)
@@ -129,33 +139,20 @@ func computeGaps(sp *space.Space, o *uncertain.Object, oi int, reach *uncertain.
 			}
 			rects[k] = r
 		}
-		gaps = append(gaps, gapApprox{obj: oi, gap: g, t0: o.Obs[g].T, rects: rects})
+		run[g] = gapApprox{t0: o.Obs[g].T, rects: rects}
 	}
-	return gaps, nil
+	return run, nil
 }
 
-func (t *Tree) extendHorizon(o *uncertain.Object) {
-	if o.First().T < t.horizon[0] {
-		t.horizon[0] = o.First().T
-	}
-	if o.Last().T > t.horizon[1] {
-		t.horizon[1] = o.Last().T
-	}
-}
-
-func (t *Tree) addGap(g gapApprox) {
-	union := geo.EmptyRect()
-	for _, r := range g.rects {
-		union = union.Union(r)
-	}
-	t1 := g.t0 + len(g.rects) - 1
-	box := rtree.NewBox(
-		union.Lo.X, union.Hi.X,
-		union.Lo.Y, union.Hi.Y,
-		float64(g.t0), float64(t1),
-	)
-	t.rt.Insert(box, rtree.Item(len(t.gaps)))
-	t.gaps = append(t.gaps, g)
+// setRun registers run as the gaps of the object at index oi, which
+// t.objs[oi] already names, in place of whatever run it had. The horizon
+// is extended, never rescanned: observations are only ever added.
+func (t *Tree) setRun(oi int, run []gapApprox) {
+	t.leaves += len(run) - len(t.runs[oi])
+	t.runs[oi] = run
+	o := t.objs[oi]
+	t.horizon[0] = min(t.horizon[0], o.First().T)
+	t.horizon[1] = max(t.horizon[1], o.Last().T)
 }
 
 // Freeze marks the tree as published to concurrent readers: any later
@@ -167,22 +164,22 @@ func (t *Tree) Freeze() { t.frozen = true }
 func (t *Tree) Frozen() bool { return t.frozen }
 
 // Clone returns an unfrozen deep-enough copy for copy-on-write
-// mutation: the R*-tree and the bookkeeping slices are copied, while
-// the immutable space, objects and per-gap rectangle data are shared.
-// Inserting into the clone leaves the original — and any reader holding
-// it — untouched.
+// mutation: the object table and the run headers are copied (two words
+// and a slice header per object), while the immutable space, objects and
+// per-gap rectangle data are shared. Inserting into the clone leaves the
+// original — and any reader holding it — untouched.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
 		sp:      t.sp,
 		objs:    append([]*uncertain.Object(nil), t.objs...),
-		gaps:    append([]gapApprox(nil), t.gaps...),
-		rt:      t.rt.Clone(),
+		runs:    append([][]gapApprox(nil), t.runs...),
+		leaves:  t.leaves,
 		horizon: t.horizon,
 	}
 }
 
 // Insert appends one more object to the index (streaming ingestion). The
-// object's diamonds are computed and added to the R*-tree; its index in
+// object's diamonds are computed and appended as its run; its index in
 // Objects() is returned. Insert is not safe for use concurrently with
 // queries: a tree published to readers must be frozen, and mutation then
 // flows through Clone (see the Tree concurrency contract).
@@ -193,31 +190,30 @@ func (t *Tree) Insert(o *uncertain.Object, reach *uncertain.Reach) (int, error) 
 	if reach == nil {
 		reach = uncertain.NewReach()
 	}
-	oi := len(t.objs)
 	// Validate all gaps before mutating any state, so a contradicting
 	// object cannot leave the tree half-updated.
-	gaps, err := computeGaps(t.sp, o, oi, reach)
+	run, err := computeRun(t.sp, o, reach, nil, nil)
 	if err != nil {
 		return 0, err
 	}
+	oi := len(t.objs)
 	t.objs = append(t.objs, o)
-	for _, g := range gaps {
-		t.addGap(g)
-	}
-	t.extendHorizon(o)
+	t.runs = append(t.runs, nil)
+	t.setRun(oi, run)
 	return oi, nil
 }
 
 // WithUpdatedObject returns a new unfrozen tree equal to t except that
-// the object at index oi is replaced by upd — the index path of an
-// observation append. Only upd's diamonds are recomputed (the
-// reachability sweeps that dominate index builds); every other object's
-// per-timestep rectangles are reused as-is. What remains is
-// re-registering all gap boxes in a fresh R*-tree, which still scales
-// with the total number of gaps — cheap relative to the sweeps, but not
-// free; shrinking it to a delete+insert needs stable gap item IDs and
-// is left for a later PR. A contradicting upd returns an error and
-// leaves t untouched.
+// the object at index oi is replaced by upd, which must carry every
+// observation of the object it replaces — the index path of an
+// observation write. It costs the gaps the write adds: a gap whose two
+// observations are unchanged keeps its rectangles, and the reachability
+// sweep (the cost that dominates index builds) runs only for the others
+// — one for an append or a prepend, two where a late observation splits
+// a gap. Beyond that the derived tree is a copy of the per-object
+// headers with one run replaced; every other object's run is shared
+// with t, whose readers keep their frozen view. A contradicting upd
+// returns an error and leaves t untouched.
 func (t *Tree) WithUpdatedObject(oi int, upd *uncertain.Object, reach *uncertain.Reach) (*Tree, error) {
 	if oi < 0 || oi >= len(t.objs) {
 		return nil, fmt.Errorf("ustree: no object at index %d", oi)
@@ -225,55 +221,21 @@ func (t *Tree) WithUpdatedObject(oi int, upd *uncertain.Object, reach *uncertain
 	if reach == nil {
 		reach = uncertain.NewReach()
 	}
-	updGaps, err := computeGaps(t.sp, upd, oi, reach)
+	run, err := computeRun(t.sp, upd, reach, t.objs[oi], t.runs[oi])
 	if err != nil {
 		return nil, err
 	}
-	nt := &Tree{
-		sp:      t.sp,
-		objs:    append([]*uncertain.Object(nil), t.objs...),
-		gaps:    make([]gapApprox, 0, len(t.gaps)-countGaps(t.gaps, oi)+len(updGaps)),
-		rt:      rtree.New(0),
-		horizon: [2]int{math.MaxInt32, math.MinInt32},
-	}
+	nt := t.Clone()
 	nt.objs[oi] = upd
-	for _, o := range nt.objs {
-		nt.extendHorizon(o)
-	}
-	// Splice the new gaps in place of the old ones; gaps are stored in
-	// ascending (obj, gap) order and one object's gaps are consecutive,
-	// so the ordering invariant gapOf relies on is preserved.
-	spliced := false
-	for _, g := range t.gaps {
-		if g.obj == oi {
-			if !spliced {
-				spliced = true
-				for _, ng := range updGaps {
-					nt.addGap(ng)
-				}
-			}
-			continue
-		}
-		nt.addGap(g)
-	}
+	nt.setRun(oi, run)
 	return nt, nil
-}
-
-func countGaps(gaps []gapApprox, oi int) int {
-	n := 0
-	for _, g := range gaps {
-		if g.obj == oi {
-			n++
-		}
-	}
-	return n
 }
 
 // Len returns the number of indexed objects.
 func (t *Tree) Len() int { return len(t.objs) }
 
-// NumLeaves returns the number of indexed gap MBRs ("diamonds").
-func (t *Tree) NumLeaves() int { return len(t.gaps) }
+// NumLeaves returns the number of indexed gaps ("diamonds").
+func (t *Tree) NumLeaves() int { return t.leaves }
 
 // Objects returns the indexed objects (shared slice; do not modify).
 func (t *Tree) Objects() []*uncertain.Object { return t.objs }
@@ -301,10 +263,7 @@ func (t *Tree) RectAt(oi, tt int) (geo.Rect, bool) {
 	if !ok {
 		return geo.EmptyRect(), false
 	}
-	ga := t.gapOf(oi, g)
-	if ga == nil {
-		return geo.EmptyRect(), false
-	}
+	ga := &t.runs[oi][g]
 	return ga.rects[tt-ga.t0], true
 }
 
@@ -334,34 +293,6 @@ func (t *Tree) MayInfluence(oi int, q func(int) geo.Point, ts, te int, bound []f
 	return false
 }
 
-func (t *Tree) gapOf(oi, gap int) *gapApprox {
-	// Gaps of one object are stored consecutively in insertion order; a
-	// linear probe over the object's own gaps via the gap index keeps this
-	// O(1) amortized: find by scanning is avoided by recomputing the
-	// offset. Since all objects are built in order we locate by search.
-	lo, hi := 0, len(t.gaps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		g := &t.gaps[mid]
-		if g.obj < oi || (g.obj == oi && g.gapKey() < gap) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(t.gaps) && t.gaps[lo].obj == oi && t.gaps[lo].gapKey() == gap {
-		return &t.gaps[lo]
-	}
-	return nil
-}
-
-func (g *gapApprox) gapKey() int {
-	if g.gap < 0 {
-		return 0
-	}
-	return g.gap
-}
-
 // Pruning is the result of the filter step for one query.
 type Pruning struct {
 	// Candidates holds indices of objects that may satisfy the ∀-semantics
@@ -381,10 +312,10 @@ type Pruning struct {
 }
 
 // Prune runs the UST-tree filter step for a query position function q
-// (defined on [ts, te]) and the query interval T = [ts, te]. It uses the
-// R*-tree to collect the observation gaps overlapping T, computes per-
-// timestep dmin/dmax between each alive object's rectangle and q(t), and
-// derives the candidate and influence sets of Section 6.
+// (defined on [ts, te]) and the query interval T = [ts, te]. It walks the
+// objects whose lifetime meets T, computes per-timestep dmin/dmax between
+// each one's rectangle and q(t), and derives the candidate and influence
+// sets of Section 6.
 func (t *Tree) Prune(q func(int) geo.Point, ts, te int) Pruning {
 	return t.PruneK(q, ts, te, 1)
 }
@@ -399,92 +330,78 @@ func (t *Tree) PruneK(q func(int) geo.Point, ts, te, k int) Pruning {
 	}
 	nT := te - ts + 1
 
-	// Gather gaps overlapping the query window.
-	queryBox := rtree.NewBox(
-		math.Inf(-1), math.Inf(1),
-		math.Inf(-1), math.Inf(1),
-		float64(ts), float64(te),
-	)
-	type objWindow struct {
-		dmin, dmax []float64 // indexed by t - ts; NaN where not alive
+	// One pass over the objects whose lifetime meets the window, in index
+	// order: dmins holds nT dmin values per such object (NaN where it is
+	// not alive), and kth[i] the k smallest dmax seen at window offset i.
+	var met []int
+	var dmins []float64
+	dmax := make([]float64, nT)
+	kth := make([][]float64, nT)
+	for oi, o := range t.objs {
+		if o.Last().T < ts || o.First().T > te {
+			continue
+		}
+		met = append(met, oi)
+		for i := range dmax {
+			dmins = append(dmins, math.NaN())
+			dmax[i] = math.NaN()
+		}
+		dmin := dmins[len(dmins)-nT:]
+		for gi := range t.runs[oi] {
+			g := &t.runs[oi][gi]
+			lo := max(ts, g.t0)
+			hi := min(te, g.t0+len(g.rects)-1)
+			for tt := lo; tt <= hi; tt++ {
+				r := g.rects[tt-g.t0]
+				qp := q(tt)
+				dn, dx := r.MinDist(qp), r.MaxDist(qp)
+				i := tt - ts
+				// Two gaps may share a boundary timestep; both bounds hold, so
+				// keep the tighter ones.
+				if math.IsNaN(dmin[i]) || dn > dmin[i] {
+					dmin[i] = dn
+				}
+				if math.IsNaN(dmax[i]) || dx < dmax[i] {
+					dmax[i] = dx
+				}
+			}
+		}
+		for i, d := range dmax {
+			if !math.IsNaN(d) {
+				kth[i] = insertKSmallest(kth[i], d, k)
+			}
+		}
 	}
-	windows := make(map[int]*objWindow)
-	t.rt.Search(queryBox, func(_ rtree.Box, it rtree.Item) bool {
-		g := &t.gaps[it]
-		w := windows[g.obj]
-		if w == nil {
-			w = &objWindow{dmin: make([]float64, nT), dmax: make([]float64, nT)}
-			for k := 0; k < nT; k++ {
-				w.dmin[k] = math.NaN()
-				w.dmax[k] = math.NaN()
-			}
-			windows[g.obj] = w
-		}
-		lo := maxInt(ts, g.t0)
-		hi := minInt(te, g.t0+len(g.rects)-1)
-		for tt := lo; tt <= hi; tt++ {
-			r := g.rects[tt-g.t0]
-			qp := q(tt)
-			dmin, dmax := r.MinDist(qp), r.MaxDist(qp)
-			k := tt - ts
-			// Two gaps may share a boundary timestep; both bounds hold, so
-			// keep the tighter ones.
-			if math.IsNaN(w.dmin[k]) || dmin > w.dmin[k] {
-				w.dmin[k] = dmin
-			}
-			if math.IsNaN(w.dmax[k]) || dmax < w.dmax[k] {
-				w.dmax[k] = dmax
-			}
-		}
-		return true
-	})
 
 	// Per-timestep pruning distance: the k-th smallest dmax over alive
 	// objects (+Inf when fewer than k are alive).
 	pruneDist := make([]float64, nT)
-	kth := make([][]float64, nT)
 	for i := range pruneDist {
 		pruneDist[i] = math.Inf(1)
-	}
-	for _, w := range windows {
-		for i := 0; i < nT; i++ {
-			if !math.IsNaN(w.dmax[i]) {
-				kth[i] = insertKSmallest(kth[i], w.dmax[i], k)
-			}
-		}
-	}
-	for i := 0; i < nT; i++ {
 		if len(kth[i]) == k {
 			pruneDist[i] = kth[i][k-1]
 		}
 	}
 
 	out := Pruning{PruneDist: pruneDist}
-	for oi, w := range windows {
+	for n, oi := range met {
 		everNN := false
 		alwaysNN := true
-		aliveAll := true
-		for k := 0; k < nT; k++ {
-			if math.IsNaN(w.dmin[k]) {
-				aliveAll = false
-				alwaysNN = false
-				continue
-			}
-			if w.dmin[k] <= pruneDist[k] {
+		for i, d := range dmins[n*nT : (n+1)*nT] {
+			if d <= pruneDist[i] {
 				everNN = true
 			} else {
+				// Dominated at i, or (NaN) not alive there.
 				alwaysNN = false
 			}
 		}
 		if everNN {
 			out.Influencers = append(out.Influencers, oi)
 		}
-		if aliveAll && alwaysNN {
+		if alwaysNN {
 			out.Candidates = append(out.Candidates, oi)
 		}
 	}
-	sortInts(out.Candidates)
-	sortInts(out.Influencers)
 	return out
 }
 
@@ -503,26 +420,4 @@ func insertKSmallest(s []float64, v float64, k int) []float64 {
 	copy(s[pos+1:], s[pos:])
 	s[pos] = v
 	return s
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
