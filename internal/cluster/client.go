@@ -48,27 +48,36 @@ type peerClient struct {
 	health    HealthInfo
 }
 
-func newPeerClient(name, base string, timeout, hedge time.Duration) *peerClient {
+// newPeerClient builds the client of one peer. conns is how many idle
+// connections it keeps to that peer: every gather in flight holds one,
+// two while its hedge runs, and the default transport's two per host
+// would re-dial every leg of a batch beyond that.
+func newPeerClient(name, base string, timeout, hedge time.Duration, conns int) *peerClient {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
 	if hedge <= 0 {
 		hedge = timeout / 4
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = conns
+	tr.MaxIdleConns = 0          // the per-host bound is the only one: this transport talks to one host
+	tr.DisableCompression = true // call sets Accept-Encoding by hand and inflates the answer itself
 	return &peerClient{
 		name:    name,
 		base:    base,
-		hc:      &http.Client{},
+		hc:      &http.Client{Transport: tr},
 		timeout: timeout,
 		hedge:   hedge,
 	}
 }
 
 // call performs one POST (or GET when in is nil) against path and
-// decodes the JSON answer into out. Transport failures, timeouts and
-// 5xx answers wrap ErrPeerUnavailable; structured envelopes with a
-// non-5xx status come back as *rpcError.
-func (p *peerClient) call(ctx context.Context, path string, in, out any) error {
+// returns the answer's body, inflated if the peer gzip'd it, and its
+// Content-Type; accept, when set, is the media type asked for. Transport
+// failures, timeouts and 5xx answers wrap ErrPeerUnavailable;
+// structured envelopes with a non-5xx status come back as *rpcError.
+func (p *peerClient) call(ctx context.Context, path string, in any, accept string) ([]byte, string, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
 	var req *http.Request
@@ -78,7 +87,7 @@ func (p *peerClient) call(ctx context.Context, path string, in, out any) error {
 	} else {
 		var body bytes.Buffer
 		if err := json.NewEncoder(&body).Encode(in); err != nil {
-			return err
+			return nil, "", err
 		}
 		req, err = http.NewRequestWithContext(ctx, http.MethodPost, p.base+path, &body)
 		if err == nil {
@@ -86,61 +95,88 @@ func (p *peerClient) call(ctx context.Context, path string, in, out any) error {
 		}
 	}
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	// Ask for gzip explicitly (disabling the transport's transparent
-	// handling) so large scatter payloads travel compressed; servers
-	// that ignore the header still answer identity, which decodes the
-	// same below.
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	// A peer that does not know the accepted media type answers JSON;
+	// ask for that gzip'd, as routers always have.
 	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := p.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, p.name, err)
+		return nil, "", fmt.Errorf("%w: %s: %v", ErrPeerUnavailable, p.name, err)
 	}
 	defer resp.Body.Close()
-	var body io.Reader = io.LimitReader(resp.Body, 256<<20)
+	var body io.Reader = io.LimitReader(resp.Body, maxScatterBytes)
 	if resp.Header.Get("Content-Encoding") == "gzip" {
 		gz, gzErr := gzip.NewReader(body)
 		if gzErr != nil {
-			return fmt.Errorf("%w: %s: gzip response: %v", ErrPeerUnavailable, p.name, gzErr)
+			return nil, "", fmt.Errorf("%w: %s: gzip response: %v", ErrPeerUnavailable, p.name, gzErr)
 		}
 		defer gz.Close()
-		body = io.LimitReader(gz, 256<<20)
+		body = io.LimitReader(gz, maxScatterBytes)
 	}
 	raw, err := io.ReadAll(body)
 	if err != nil {
-		return fmt.Errorf("%w: %s: reading response: %v", ErrPeerUnavailable, p.name, err)
+		return nil, "", fmt.Errorf("%w: %s: reading response: %v", ErrPeerUnavailable, p.name, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var env ErrorJSON
 		if jsonErr := json.Unmarshal(raw, &env); jsonErr == nil && env.Error.Code != "" && resp.StatusCode < 500 {
-			return &rpcError{Code: env.Error.Code, Message: env.Error.Message, Status: resp.StatusCode}
+			return nil, "", &rpcError{Code: env.Error.Code, Message: env.Error.Message, Status: resp.StatusCode}
 		}
-		return fmt.Errorf("%w: %s: %s: HTTP %d", ErrPeerUnavailable, p.name, path, resp.StatusCode)
+		return nil, "", fmt.Errorf("%w: %s: %s: HTTP %d", ErrPeerUnavailable, p.name, path, resp.StatusCode)
 	}
-	if out == nil {
-		return nil
+	return raw, resp.Header.Get("Content-Type"), nil
+}
+
+// decoder turns one successful answer into the caller's value. A
+// failure means the peer sent something unusable (bad magic, checksum
+// mismatch, truncated frame, malformed JSON).
+type decoder func(body []byte, contentType string) error
+
+// intoJSON decodes a JSON answer into out.
+func intoJSON(out any) decoder {
+	return func(body []byte, _ string) error { return json.Unmarshal(body, out) }
+}
+
+// decode runs dec over an answer, classifying a failure as peer
+// unavailability like any other unusable answer.
+func (p *peerClient) decode(path string, dec decoder, body []byte, contentType string) error {
+	if err := dec(body, contentType); err != nil {
+		return fmt.Errorf("%w: %s: %s: decoding response: %v", ErrPeerUnavailable, p.name, path, err)
 	}
-	return json.Unmarshal(raw, out)
+	return nil
+}
+
+// callJSON is one un-hedged call decoded as JSON into out.
+func (p *peerClient) callJSON(ctx context.Context, path string, in, out any) error {
+	body, ctype, err := p.call(ctx, path, in, "")
+	if err != nil {
+		return err
+	}
+	return p.decode(path, intoJSON(out), body, ctype)
 }
 
 // callHedged is call with one hedged retry: if the first attempt has
 // not answered within the hedge delay, a second identical request is
-// fired and the first success wins. Only used for idempotent reads
-// (scatter, health, touch) — a straggling peer costs one duplicate
-// probe instead of the whole gather's latency.
-func (p *peerClient) callHedged(ctx context.Context, path string, in, out any) error {
+// fired and the first answer that dec accepts wins — dec runs on the
+// calling goroutine, once per answer. Only used for idempotent reads
+// (scatter, touch) — a straggling peer costs one duplicate probe
+// instead of the whole gather's latency.
+func (p *peerClient) callHedged(ctx context.Context, path string, in any, accept string, dec decoder) error {
 	type result struct {
-		err error
-		raw json.RawMessage
+		body  []byte
+		ctype string
+		err   error
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan result, 2)
 	attempt := func() {
-		var raw json.RawMessage
-		err := p.call(ctx, path, in, &raw)
-		results <- result{err: err, raw: raw}
+		body, ctype, err := p.call(ctx, path, in, accept)
+		results <- result{body, ctype, err}
 	}
 	go attempt()
 	var firstErr error
@@ -156,10 +192,10 @@ func (p *peerClient) callHedged(ctx context.Context, path string, in, out any) e
 			}
 		case r := <-results:
 			if r.err == nil {
-				if out == nil {
-					return nil
-				}
-				return json.Unmarshal(r.raw, out)
+				r.err = p.decode(path, dec, r.body, r.ctype)
+			}
+			if r.err == nil {
+				return nil
 			}
 			done++
 			if firstErr == nil {
@@ -183,7 +219,7 @@ func (p *peerClient) callHedged(ctx context.Context, path string, in, out any) e
 // probe refreshes the peer's health record and returns it.
 func (p *peerClient) probe(ctx context.Context) (HealthInfo, error) {
 	var h HealthInfo
-	err := p.call(ctx, "/internal/health", nil, &h)
+	err := p.callJSON(ctx, "/internal/health", nil, &h)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.lastProbe = time.Now()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -89,6 +90,9 @@ func NewCoordinator(net *pnn.Network, cfg Config) (*Coordinator, error) {
 	}
 	names := make([]string, len(cfg.Peers))
 	clients := make(map[string]*peerClient, len(cfg.Peers))
+	// Gathers in flight are bounded by the batch and sweep pools, each
+	// GOMAXPROCS wide by default, and each gather may hedge.
+	conns := 4 * runtime.GOMAXPROCS(0)
 	for i, p := range cfg.Peers {
 		if p.Name == "" || p.URL == "" {
 			return nil, fmt.Errorf("cluster: peer %d needs both name and url", i)
@@ -97,7 +101,7 @@ func NewCoordinator(net *pnn.Network, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: duplicate peer name %q", p.Name)
 		}
 		names[i] = p.Name
-		clients[p.Name] = newPeerClient(p.Name, p.URL, cfg.Timeout, cfg.HedgeDelay)
+		clients[p.Name] = newPeerClient(p.Name, p.URL, cfg.Timeout, cfg.HedgeDelay, conns)
 	}
 	rg, err := ring.New(names, cfg.VirtualNodes)
 	if err != nil {
@@ -261,12 +265,7 @@ func (c *Coordinator) scatterAll(ctx context.Context, spec shard.GroupSpec) (sha
 		wg.Add(1)
 		go func(i int, pc *peerClient) {
 			defer wg.Done()
-			var resp ScatterResponse
-			if err := pc.callHedged(ctx, "/internal/scatter", wreq, &resp); err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i] = ScatterFromWire(&resp)
+			errs[i] = pc.callHedged(ctx, "/internal/scatter", wreq, ScatterFrameType, intoScatter(&parts[i]))
 		}(i, c.clients[name])
 	}
 	wg.Wait()
@@ -289,6 +288,24 @@ func (c *Coordinator) scatterAll(ctx context.Context, spec shard.GroupSpec) (sha
 		in.Workers = runtime.GOMAXPROCS(0)
 	}
 	return in, versionFromParts(parts), nil
+}
+
+// intoScatter decodes a scatter answer in whichever encoding the peer
+// chose: the binary frame, or the JSON a peer that predates it sends.
+func intoScatter(dst **shard.ScatterResult) decoder {
+	return func(body []byte, contentType string) error {
+		if contentType != ScatterFrameType {
+			var resp ScatterResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				return err
+			}
+			*dst = ScatterFromWire(&resp)
+			return nil
+		}
+		res, err := DecodeScatterFrame(body)
+		*dst = res
+		return err
+	}
 }
 
 // runGroup is the remote RunSharedInfluence: scatter, merge, replay-
@@ -599,7 +616,7 @@ func (c *Coordinator) ingest(kind string, id int, obs []pnn.Observation) (pnn.In
 	var resp IngestRPCResponse
 	// Writes are not idempotent (a duplicate add must 409 exactly once),
 	// so no hedged retry here: one attempt, one verdict.
-	if err := pc.call(ctx, "/internal/ingest", wreq, &resp); err != nil {
+	if err := pc.callJSON(ctx, "/internal/ingest", wreq, &resp); err != nil {
 		return pnn.Ingest{}, mapIngestErr(err)
 	}
 	pc.noteIngest(resp)
@@ -644,7 +661,7 @@ func (c *Coordinator) notifyWrite(ctx context.Context, id int, owner string) {
 		}
 		treq := TouchRequest{ID: id, Query: r.q, Ts: r.ts, Te: r.te, Bound: PruneToWire(r.bound)}
 		var tresp TouchResponse
-		if err := pc.callHedged(ctx, "/internal/touch", &treq, &tresp); err != nil {
+		if err := pc.callHedged(ctx, "/internal/touch", &treq, "", intoJSON(&tresp)); err != nil {
 			return true
 		}
 		return tresp.Touched
@@ -768,13 +785,16 @@ func (c *Coordinator) WaitSubscriptionsIdle(timeout time.Duration) bool {
 	return c.subs.WaitIdle(timeout)
 }
 
-// CloseSubscriptions shuts standing queries down and stops the health
-// probe loop; the server's shutdown path calls it exactly like it does
-// on a processor.
+// CloseSubscriptions shuts standing queries down, stops the health
+// probe loop and drops the idle peer connections; the server's shutdown
+// path calls it exactly like it does on a processor.
 func (c *Coordinator) CloseSubscriptions() {
 	c.subs.Close()
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
+	for _, pc := range c.clients {
+		pc.hc.CloseIdleConnections()
+	}
 }
 
 // SnapshotDetail reports the merged cluster snapshot from the cached

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"pnn"
@@ -70,6 +71,8 @@ func (s *Server) registerInternal(local *pnn.Processor) {
 // pre-draw this peer's share of one shared-world group. The drawn state
 // columns are a pure function of (snapshot, seed, object IDs), so the
 // router's replay-gather reproduces the single-process bytes exactly.
+// A caller that accepts cluster.ScatterFrameType gets the binary frame;
+// any other gets the JSON answer, gzip'd on request.
 func (s *Server) handleScatter(local *pnn.Processor) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -94,8 +97,31 @@ func (s *Server) handleScatter(local *pnn.Processor) http.HandlerFunc {
 			writeErr(w, http.StatusBadRequest, CodeInvalidQuery, "", err)
 			return
 		}
-		writeJSONMaybeGzip(w, r, http.StatusOK, cluster.ScatterToWire(res))
+		if !acceptsScatterFrame(r) {
+			writeJSONMaybeGzip(w, r, http.StatusOK, cluster.ScatterToWire(res))
+			return
+		}
+		frame, err := cluster.EncodeScatterFrame(res)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, CodeInternal, "", err)
+			return
+		}
+		w.Header().Set("Content-Type", cluster.ScatterFrameType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(frame) // a router that hung up retries on its own
 	}
+}
+
+// acceptsScatterFrame reports whether the request's Accept header names
+// the binary scatter media type.
+func acceptsScatterFrame(r *http.Request) bool {
+	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
+		if mt, _, _ := strings.Cut(part, ";"); strings.TrimSpace(mt) == cluster.ScatterFrameType {
+			return true
+		}
+	}
+	return false
 }
 
 // writeJSONMaybeGzip is writeJSON with Content-Encoding negotiation:

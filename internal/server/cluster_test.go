@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -570,5 +571,126 @@ func TestScatterGzipNegotiation(t *testing.T) {
 	}
 	if got.Worlds == 0 || len(got.Rows) == 0 {
 		t.Fatalf("scatter answer carries no worlds/rows: worlds=%d rows=%d", got.Worlds, len(got.Rows))
+	}
+}
+
+// TestScatterFrameNegotiation pins the media-type contract of
+// /internal/scatter: a caller that accepts the binary frame gets it with
+// a Content-Length and no Content-Encoding, whatever else it accepts; a
+// caller that does not gets exactly the JSON body it always did; and a
+// router over peers that only speak JSON answers /v1 byte for byte like
+// one over peers that speak the frame.
+func TestScatterFrameNegotiation(t *testing.T) {
+	rig := newClusterRig(t, 1)
+	peer := rig.peers[clusterPeerNames[0]]
+	body := `{"query": {"start": 1, "points": [{"x": 0.5, "y": 0.5}, {"x": 0.5, "y": 0.5}, {"x": 0.5, "y": 0.5}]}, "ts": 1, "te": 3, "k": 1, "seed": 42}`
+	fetch := func(header http.Header) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, peer.URL+"/internal/scatter", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header = header
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("scatter = %d (%s)", resp.StatusCode, raw)
+		}
+		return resp, raw
+	}
+
+	resp, frame := fetch(http.Header{"Accept": {cluster.ScatterFrameType}, "Accept-Encoding": {"gzip"}})
+	if ct, ce := resp.Header.Get("Content-Type"), resp.Header.Get("Content-Encoding"); ct != cluster.ScatterFrameType || ce != "" {
+		t.Fatalf("frame answer: Content-Type %q, Content-Encoding %q", ct, ce)
+	}
+	if resp.ContentLength != int64(len(frame)) {
+		t.Errorf("frame answer: Content-Length %d for a %d-byte body", resp.ContentLength, len(frame))
+	}
+	res, err := cluster.DecodeScatterFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Worlds == 0 || len(res.Rows) == 0 {
+		t.Fatalf("frame carries no worlds/rows: worlds=%d rows=%d", res.Worlds, len(res.Rows))
+	}
+
+	// The JSON answer is the encoding of the same result; only the
+	// scatter-cost fields (cache warmth, wall clock) differ between two
+	// scatters, so they are taken from the answer being checked.
+	resp, plain := fetch(http.Header{"Accept": {"application/json"}})
+	if ct, ce := resp.Header.Get("Content-Type"), resp.Header.Get("Content-Encoding"); ct != "application/json" || ce != "" {
+		t.Fatalf("JSON answer: Content-Type %q, Content-Encoding %q", ct, ce)
+	}
+	var sr cluster.ScatterResponse
+	if err := json.Unmarshal(plain, &sr); err != nil {
+		t.Fatal(err)
+	}
+	res.SamplerBuilds, res.AdaptTime = sr.SamplerBuilds, time.Duration(sr.AdaptNanos)
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(cluster.ScatterToWire(res)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, want.Bytes()) {
+		t.Errorf("JSON answer is not the JSON encoding of the frame's result:\n got %s\nwant %s", plain, want.Bytes())
+	}
+
+	// "Old" peers: the same peers behind a front that drops Accept, so
+	// every scatter leg comes back as JSON.
+	var jsonLegs atomic.Int32
+	oldPeers := make([]cluster.Peer, len(clusterPeerNames))
+	for i, name := range clusterPeerNames {
+		inner := rig.peers[name].Config.Handler
+		old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			r.Header.Del("Accept")
+			inner.ServeHTTP(w, r)
+			if r.URL.Path == "/internal/scatter" && w.Header().Get("Content-Type") == "application/json" {
+				jsonLegs.Add(1)
+			}
+		}))
+		t.Cleanup(old.Close)
+		oldPeers[i] = cluster.Peer{Name: name, URL: old.URL}
+	}
+	coord, err := cluster.NewCoordinator(rig.net, cluster.Config{Peers: oldPeers, Timeout: 5 * time.Second, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := coord.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.CloseSubscriptions)
+	oldRouter := httptest.NewServer(New(rig.net, coord, Config{BatchWorkers: 2, Role: RoleRouter}))
+	t.Cleanup(oldRouter.Close)
+
+	center := rig.net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/forallnn", fmt.Sprintf(`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 42}`, center)},
+		{"/v1/existsnn", fmt.Sprintf(`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 7, "k": 2}`, center)},
+		{"/v1/pcnn", `{"query": {"point": {"x": 0.5, "y": 0.5}}, "window": {"ts": 1, "te": 4}, "tau": 0.3, "seed": 9}`},
+		{"/v1/forallnn", fmt.Sprintf(`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.3, "seed": 42, "confidence": {"eps": 0.05, "max_samples": 2000}}`, center)},
+	} {
+		// stats.sampler_builds counts cache warm-up on the shared peers:
+		// the first answer pays it, the two compared find it paid.
+		post(t, rig.router.URL+tc.path, tc.body)
+		before := jsonLegs.Load()
+		newCode, newRaw := post(t, rig.router.URL+tc.path, tc.body)
+		oldCode, oldRaw := post(t, oldRouter.URL+tc.path, tc.body)
+		if newCode != http.StatusOK || oldCode != http.StatusOK {
+			t.Fatalf("%s: frame peers = %d (%s), JSON peers = %d (%s)", tc.path, newCode, newRaw, oldCode, oldRaw)
+		}
+		if !bytes.Equal(newRaw, oldRaw) {
+			t.Errorf("%s: answer depends on the scatter encoding:\nframe peers: %s\n JSON peers: %s", tc.path, newRaw, oldRaw)
+		}
+		if got := jsonLegs.Load() - before; got != int32(len(clusterPeerNames)) {
+			t.Errorf("%s: %d scatter legs came back as JSON, want %d", tc.path, got, len(clusterPeerNames))
+		}
 	}
 }

@@ -255,13 +255,30 @@ func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) erro
 	return s.serve(ctx, ln, grace)
 }
 
+// Connection timeouts of the listener: a client gets readHeaderTimeout
+// to finish its request headers, and a keep-alive connection idleTimeout
+// between requests, so neither a stalled nor an abandoned connection
+// pins a goroutine and a descriptor forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the http.Server that serves s. It sets no
+// WriteTimeout: SSE streams and long-polls are responses that stay open
+// far longer than any bound that would suit a query, and IdleTimeout
+// only runs between requests, never during one.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serve runs the accept loop on ln until ctx is cancelled. Shutdown
 // closes the subscription registry first: every active SSE stream
 // receives its terminal bye frame and returns, so the graceful
 // http.Server.Shutdown drain below isn't held open (or force-killed
 // mid-frame) by standing streams.
 func (s *Server) serve(ctx context.Context, ln net.Listener, grace time.Duration) error {
-	hs := &http.Server{Handler: s}
+	hs := s.httpServer()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -348,6 +348,47 @@ func TestShutdownDrainsSSEStreams(t *testing.T) {
 	}
 }
 
+// TestSSEStreamOutlivesIdleTimeout pins why the listener sets an
+// IdleTimeout but no WriteTimeout: a stream that has sat silent for
+// several idle timeouts still delivers the next re-evaluation.
+func TestSSEStreamOutlivesIdleTimeout(t *testing.T) {
+	net2, proc, _ := testServer(t)
+	hs := New(net2, proc, Config{Ingest: true}).httpServer()
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout || hs.WriteTimeout != 0 {
+		t.Fatalf("listener timeouts: read-header %v, idle %v, write %v; want %v, %v, none",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout, readHeaderTimeout, idleTimeout)
+	}
+	const idle = 50 * time.Millisecond
+	hs.IdleTimeout = idle
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	center := net2.NearestState(pnn.Point{X: 0.5, Y: 0.5})
+	base := "http://" + ln.Addr().String()
+	resp, err := http.Post(base+"/v1/subscribe", "application/json", strings.NewReader(fmt.Sprintf(
+		`{"semantics": "exists", "query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 5}`, center)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	if event, _ := readFrame(t, br); event != "answer" {
+		t.Fatalf("initial frame = %q", event)
+	}
+	time.Sleep(4 * idle) // the stream is silent, not idle: the timeout must not apply
+	if code, raw := post(t, base+"/v1/objects", fmt.Sprintf(
+		`{"id": 900, "observations": [{"t": 3, "state": %d}]}`, center)); code != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", code, raw)
+	}
+	if event, e := readFrame(t, br); event != "answer" || e.Response == nil {
+		t.Fatalf("frame after %v of silence = %q %+v, want the re-evaluation", 4*idle, event, e)
+	}
+}
+
 // TestDeprecationSignals checks the one-shot alias deprecation
 // satellite: flat spellings still answer, but carry the Deprecation
 // header and a warnings array; canonical requests carry neither.

@@ -68,6 +68,18 @@ type ScatterResult struct {
 // prefix. Under a confidence policy this makes the shipped payload
 // proportional to MaxSamples — the price of keeping the stop decision
 // layout-independent.
+//
+// Any prefix it consumes is byte-identical to what a shorter draw would
+// have produced: a row's worlds come from the row's own generator in
+// world order, world w occupying States[w*nT:(w+1)*nT], so neither the
+// other rows nor the worlds after w can reach those bytes. That is also
+// what the wire relies on. The cluster package carries a result either
+// as JSON or as a binary frame (layout in its package comment: a fixed
+// header, then per row its ID, the distinct states of its column and
+// the column as 1-, 2- or 4-byte indices into them); both are lossless
+// per state and keep rows and worlds in this order, so a decoded result
+// replays through Gather exactly like the one drawn here, and a future
+// frame that stops after fewer worlds would carry a prefix of this one.
 func (s *Snap) Scatter(spec GroupSpec) (*ScatterResult, error) {
 	if err := spec.Conf.Validate(); err != nil {
 		return nil, err
