@@ -2,7 +2,8 @@ package pnn
 
 // One benchmark per reproduced table/figure (the paper's evaluation has no
 // numbered tables; Figures 6-14 carry all quantitative results), plus the
-// ablation benchmarks called out in DESIGN.md §6. Figure benchmarks run
+// ablation benchmarks of exp.Ablation (the filter step, the sample budget
+// and query parallelism, each on and off). Figure benchmarks run
 // the full experiment pipeline at the Tiny scale — dataset generation,
 // indexing, model adaptation and querying — so one iteration corresponds
 // to one complete regeneration of the figure's data.

@@ -1,6 +1,7 @@
 // Command pnnbench regenerates the experiments of the paper's evaluation
-// (Section 7). Each experiment corresponds to one figure; see DESIGN.md
-// for the per-experiment index and EXPERIMENTS.md for recorded results.
+// (Section 7 of the paper in PAPER.md). Each experiment corresponds to one
+// figure; -list prints the index, and README "Development" describes how
+// the figures are regenerated.
 //
 // Usage:
 //

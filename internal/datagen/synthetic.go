@@ -1,7 +1,8 @@
 // Package datagen builds the two evaluation datasets of Section 7: the
 // artificial networks ("Artificial Data") and a taxi-fleet dataset standing
-// in for the proprietary T-Drive GPS logs ("Real Data" — see DESIGN.md for
-// the substitution rationale). Both generators keep the discarded
+// in for the proprietary T-Drive GPS logs ("Real Data" — the logs are not
+// public, so a simulator with their structural properties replaces them;
+// see TaxiConfig). Both generators keep the discarded
 // ground-truth trajectories so effectiveness experiments (Figure 12) can
 // measure prediction error against them.
 package datagen

@@ -17,7 +17,8 @@ import (
 // real-data experiments use 68 902 map-matched OSM states, one shared
 // chain trained from turning probabilities, a 10-second tic, trajectories
 // capped at 100 tics and observations every l-th measurement; this
-// simulator reproduces those structural properties (see DESIGN.md §4).
+// simulator reproduces those structural properties (the paper's Section 7
+// "Real Data"; see PAPER.md).
 type TaxiConfig struct {
 	States      int     // road-network nodes
 	Taxis       int     // fleet size

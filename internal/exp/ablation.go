@@ -10,7 +10,7 @@ import (
 	"pnn/internal/ustree"
 )
 
-// Ablation measures the design choices DESIGN.md §6 calls out, on one
+// Ablation measures the implementation's main design choices, on one
 // synthetic database: the UST-tree filter step (on/off), the sample budget
 // (fixed vs. Hoeffding-sized), and query parallelism. Results are average
 // per-query refinement times over cfg.Queries P∀NN queries.

@@ -104,7 +104,7 @@ func Fig12(cfg Config) (*Table, error) {
 }
 
 // MeanColumn averages a numeric column of a Fig12-style table; exported
-// for shape assertions in tests and EXPERIMENTS.md generation.
+// for shape assertions in tests and for summarizing regenerated figures.
 func MeanColumn(t *Table, col string) float64 {
 	idx := -1
 	for i, h := range t.Header {

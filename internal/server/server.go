@@ -481,8 +481,9 @@ type ConfidenceRangeJSON struct {
 // registration cap, the delivery transports the server speaks, and the
 // registry's cumulative fanout counters — evaluation passes run,
 // invalidation sweeps drained, grouped passes (one evaluation covering
-// several compatible subscriptions) and passes that started from a
-// reused adaptive world budget.
+// several compatible subscriptions), passes that started from a reused
+// adaptive world budget, and passes that replayed the previous answer
+// because none of their sampled inputs changed.
 type SubCapsJSON struct {
 	Enabled          bool     `json:"enabled"`
 	Active           int      `json:"active"`
@@ -492,6 +493,7 @@ type SubCapsJSON struct {
 	Sweeps           int64    `json:"sweeps"`
 	Groups           int64    `json:"groups"`
 	ReusedBudget     int64    `json:"reused_budget"`
+	Carried          int64    `json:"carried"`
 }
 
 // ClusterHealthJSON advertises, via /healthz, this node's cluster
@@ -589,6 +591,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			Sweeps:           ss.Sweeps,
 			Groups:           ss.Groups,
 			ReusedBudget:     ss.ReusedBudget,
+			Carried:          ss.Carried,
 		},
 		Cluster:       s.clusterHealth(),
 		Durability:    s.durabilityHealth(),

@@ -83,11 +83,7 @@ func Gather(spec GroupSpec, items []GroupItem, in GatherInput) ([]GroupAnswer, q
 		return nil, in.Stats, Influence{}, err
 	}
 	g := &gather{spec: spec, in: &in, stats: in.Stats}
-	inf := Influence{PruneDist: in.PruneDist}
-	for _, r := range in.Rows {
-		inf.IDs = append(inf.IDs, r.ID)
-	}
-	sort.Ints(inf.IDs)
+	inf := influenceOf(in.Rows, in.PruneDist)
 	ts, te, k := spec.Ts, spec.Te, spec.K
 	answers := make([]GroupAnswer, len(items))
 	if len(in.Rows) == 0 {
@@ -206,6 +202,17 @@ func Gather(spec GroupSpec, items []GroupItem, in GatherInput) ([]GroupAnswer, q
 	}
 	g.stats.RefineTime = time.Since(begin)
 	return answers, g.stats, inf, nil
+}
+
+// influenceOf is the influence region of a gather over rows: their IDs,
+// ascending, and the merged thresholds.
+func influenceOf(rows []GatherRow, pruneDist []float64) Influence {
+	inf := Influence{PruneDist: pruneDist}
+	for _, r := range rows {
+		inf.IDs = append(inf.IDs, r.ID)
+	}
+	sort.Ints(inf.IDs)
+	return inf
 }
 
 // execute builds the plan of this gather — sampler rows drawing from

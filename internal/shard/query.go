@@ -257,7 +257,7 @@ type GroupSpec struct {
 // point is a deterministic function of (snapshot, spec, the set of
 // member Ops and Taus).
 func (s *Snap) RunShared(spec GroupSpec, items []GroupItem) ([]GroupAnswer, query.Stats, error) {
-	answers, st, _, err := s.RunSharedInfluence(spec, items)
+	answers, st, _, _, err := s.RunSharedInfluence(spec, items, nil)
 	return answers, st, err
 }
 
@@ -266,26 +266,38 @@ func (s *Snap) RunShared(spec GroupSpec, items []GroupItem) ([]GroupAnswer, quer
 // how close an object must come to the query to matter. Standing
 // subscriptions store it to decide, on each write, whether the updated
 // object can possibly change their answer.
-func (s *Snap) RunSharedInfluence(spec GroupSpec, items []GroupItem) ([]GroupAnswer, query.Stats, Influence, error) {
+//
+// It also returns the evaluation as a Carry for the next call, and
+// takes the previous one (nil: none). The scatter always runs, so the
+// candidates, influencers, sampler builds and influence region are
+// fresh; the gather is skipped when prev was evaluated over the same
+// inputs (see Carry), and the answers and sampling outcome are then
+// prev's — byte-identical to what the gather would have produced.
+func (s *Snap) RunSharedInfluence(spec GroupSpec, items []GroupItem, prev *Carry) ([]GroupAnswer, query.Stats, Influence, *Carry, error) {
 	// Validate before paying for the scatter (Gather re-checks, so the
 	// remote path rejects the same specs).
 	for _, it := range items {
 		if it.Op == OpCNN && it.Tau <= 0 {
-			return nil, query.Stats{}, Influence{}, fmt.Errorf("shard: PCNN requires tau > 0, got %v", it.Tau)
+			return nil, query.Stats{}, Influence{}, nil, fmt.Errorf("shard: PCNN requires tau > 0, got %v", it.Tau)
 		}
 	}
 	if err := spec.Conf.Validate(); err != nil {
-		return nil, query.Stats{}, Influence{}, err
+		return nil, query.Stats{}, Influence{}, nil, err
 	}
 	x, err := s.scatter(spec)
 	if err != nil {
-		return nil, query.Stats{}, Influence{}, err
+		return nil, query.Stats{}, Influence{}, nil, err
 	}
 	rows := make([]GatherRow, len(x.entries))
 	for i, e := range x.entries {
 		rows[i] = GatherRow{ID: e.id, Smp: e.smp}
 	}
-	return Gather(spec, items, GatherInput{
+	next := newCarry(spec, items, x)
+	if next.sameInputs(prev) {
+		answers, st := next.replay(prev, x.stats)
+		return answers, st, influenceOf(rows, x.pruneDist), next, nil
+	}
+	answers, st, inf, err := Gather(spec, items, GatherInput{
 		Engine:     s.Parts[0].Engine,
 		Samples:    x.samples,
 		Workers:    x.workers,
@@ -295,6 +307,12 @@ func (s *Snap) RunSharedInfluence(spec GroupSpec, items []GroupItem) ([]GroupAns
 		PruneDist:  x.pruneDist,
 		Stats:      x.stats,
 	})
+	if err != nil {
+		return nil, st, inf, nil, err
+	}
+	next.answers, next.stats = answers, st
+	answers, st = next.result(st)
+	return answers, st, inf, next, nil
 }
 
 // ForAllKNN answers P∀kNNQ(q, D, [ts..te], tau) over the composite

@@ -72,7 +72,7 @@ func TestScatterReplayEquivalence(t *testing.T) {
 				Seed: qc.seed,
 				Conf: conf,
 			}
-			wantAns, wantStats, wantInf, err := whole.Snapshot().RunSharedInfluence(spec, items)
+			wantAns, wantStats, wantInf, _, err := whole.Snapshot().RunSharedInfluence(spec, items, nil)
 			if err != nil {
 				t.Fatalf("conf %d state %d: local run: %v", ci, qc.state, err)
 			}

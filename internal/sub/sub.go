@@ -25,7 +25,9 @@
 // the registry's GroupEval hook — cost per sweep scales with distinct
 // keys touched, not subscriptions touched — and each key carries an
 // opaque state value handed from one group evaluation to the next (the
-// facade stores the group's adaptive early-stop point there). Writes
+// facade stores the group's adaptive early-stop point there, and its
+// last evaluation, which a pass whose sampled inputs did not change
+// replays instead of sampling). Writes
 // themselves are coalesced: NotifyWrite only classifies and marks, and
 // a sweep scheduler drains the accumulated dirty set once per
 // SweepInterval, so a burst of writes pays for one grouped sweep.
@@ -103,6 +105,10 @@ type Eval struct {
 	// proven adaptive budget (group-state reuse) instead of escalating
 	// from the first round; counted in Stats.ReusedBudget.
 	BudgetReused bool
+	// Carried marks an evaluation that replayed the previous pass's
+	// answer because none of its sampled inputs changed, instead of
+	// drawing and evaluating worlds; counted in Stats.Carried.
+	Carried bool
 }
 
 // EvalFunc re-evaluates a standing query against the current snapshot.
@@ -137,6 +143,7 @@ type Stats struct {
 	Sweeps       int64 // invalidation sweeps drained (each covers >= 1 write)
 	Groups       int64 // grouped passes that covered > 1 subscription
 	ReusedBudget int64 // passes that started from a reused adaptive budget
+	Carried      int64 // passes that replayed the previous answer without sampling
 	Emitted      int64 // events handed to consumers (excl. bye)
 	Dropped      int64 // events lost to queue overflow
 	Skipped      int64 // answers suppressed by OnChangeOnly
@@ -268,6 +275,7 @@ type Registry struct {
 	sweeps      atomic.Int64
 	groups      atomic.Int64
 	reused      atomic.Int64
+	carried     atomic.Int64
 	emitted     atomic.Int64
 	droppedN    atomic.Int64
 	skipped     atomic.Int64
@@ -478,6 +486,7 @@ func (r *Registry) Stats() Stats {
 		Sweeps:       r.sweeps.Load(),
 		Groups:       r.groups.Load(),
 		ReusedBudget: r.reused.Load(),
+		Carried:      r.carried.Load(),
 		Emitted:      r.emitted.Load(),
 		Dropped:      r.droppedN.Load(),
 		Skipped:      r.skipped.Load(),
@@ -772,18 +781,20 @@ func (r *Registry) evalUnit(members []*Subscription) {
 		r.groupStates[key] = newState
 	}
 	r.mu.Unlock()
-	budgetReused := false
+	budgetReused, carried := false, false
 	for i, s := range members {
 		if i >= len(evals) {
 			break
 		}
-		if evals[i].BudgetReused {
-			budgetReused = true
-		}
+		budgetReused = budgetReused || evals[i].BudgetReused
+		carried = carried || evals[i].Carried
 		r.applyEval(s, evals[i])
 	}
 	if budgetReused {
 		r.reused.Add(1)
+	}
+	if carried {
+		r.carried.Add(1)
 	}
 }
 

@@ -1,10 +1,13 @@
 package sub
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pnn/internal/uncertain"
 )
 
 // fakeEval builds an EvalFunc over a mutable "database": version and
@@ -416,7 +419,10 @@ func TestQueueOverflowUnderGroupedBurst(t *testing.T) {
 // under membership churn: state threads pass-to-pass while the key is
 // live (including a member subscribing while a grouped pass is in
 // flight, and one unsubscribing mid-pass), and the last unsubscribe
-// deletes it so a fresh same-key subscription starts from nil.
+// deletes it so a fresh same-key subscription starts from nil. The
+// state pins objects the way the facade's carried evaluation pins the
+// *uncertain.Object of every row it sampled: the last unsubscribe must
+// release them too.
 func TestGroupStateChurnAndCleanup(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
@@ -429,7 +435,7 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 	var blockOn atomic.Bool
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	ge := db.groupEval(
+	inner := db.groupEval(
 		func(n int, state any) {
 			mu.Lock()
 			calls = append(calls, call{n, state})
@@ -441,6 +447,23 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 				<-release
 			}
 		})
+	// Each pass wraps the int state in a carry pinning one object; live
+	// counts the pinned objects the collector has not yet finalized.
+	type carry struct {
+		n    int
+		objs []*uncertain.Object
+	}
+	var live atomic.Int64
+	ge := func(key string, metas []any, state any) ([]Eval, any) {
+		if c, ok := state.(*carry); ok {
+			state = c.n
+		}
+		evals, next := inner(key, metas, state)
+		obj := &uncertain.Object{ID: len(metas)}
+		live.Add(1)
+		runtime.SetFinalizer(obj, func(*uncertain.Object) { live.Add(-1) })
+		return evals, &carry{n: next.(int), objs: []*uncertain.Object{obj}}
+	}
 	r := New(Options{Workers: 1, GroupEval: ge})
 	defer r.Close()
 
@@ -489,6 +512,19 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 	// starts from nil again.
 	r.Unsubscribe(a.ID())
 	r.Unsubscribe(c.ID())
+	r.mu.Lock()
+	_, kept := r.groupStates["k"]
+	r.mu.Unlock()
+	if kept {
+		t.Fatal("the key's carry outlived its last member")
+	}
+	for deadline := time.Now().Add(2 * time.Second); live.Load() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d carried objects still reachable after the last member left", live.Load())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 	d := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 8}, "d")
 	collect(t, d, 1)
 	mu.Lock()
@@ -497,6 +533,37 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 	}
 	mu.Unlock()
 	_ = d
+}
+
+// TestCarriedPassesCounted pins Stats.Carried: a grouped pass whose
+// evaluations report Carried counts once, however many members it
+// answers, and a pass that sampled does not count.
+func TestCarriedPassesCounted(t *testing.T) {
+	var passes atomic.Int64
+	ge := func(_ string, metas []any, _ any) ([]Eval, any) {
+		carried := passes.Add(1) > 2 // the two registration passes sample
+		evals := make([]Eval, len(metas))
+		for i := range evals {
+			evals[i] = Eval{Version: passes.Load(), Influencers: []int{1}, Region: "r", Carried: carried}
+		}
+		return evals, nil
+	}
+	r := New(Options{Workers: 1, GroupEval: ge})
+	defer r.Close()
+	a := r.SubscribeKeyed("k", nil, Delivery{}, "a")
+	b := r.SubscribeKeyed("k", nil, Delivery{}, "b")
+	if st := r.Stats(); st.Carried != 0 {
+		t.Fatalf("registration passes counted %d carried", st.Carried)
+	}
+	r.NotifyWrite(1, nil)
+	if !r.WaitIdle(2 * time.Second) {
+		t.Fatal("registry did not quiesce")
+	}
+	if st := r.Stats(); st.Carried != 1 || st.Groups != 1 {
+		t.Fatalf("stats = %+v, want one grouped pass counted carried once", st)
+	}
+	collect(t, a, 2)
+	collect(t, b, 2)
 }
 
 // TestRegistryAccessorsAndSweepToggles covers the read surface (Get,

@@ -8,6 +8,7 @@ package uncertain
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pnn/internal/markov"
@@ -126,6 +127,43 @@ func (o *Object) SameGaps(prev *Object) []int {
 		}
 	}
 	return same
+}
+
+// SameWindow reports whether o and prev (which may be nil) have the same
+// law over the window [ts, te]: the same chain, the same lifetime clip of
+// the window, and identical observations from the last one at or before
+// the clip start to the first one at or after the clip end. Those
+// observations bound every gap the clip touches, and a gap's adapted
+// model is a function of its two observations and the chain alone (see
+// SameGaps), so a trajectory drawn over the window from the same
+// generator is the same for both. Two objects whose clips are both empty
+// never draw over the window and also count as the same.
+func (o *Object) SameWindow(prev *Object, ts, te int) bool {
+	if prev == nil {
+		return false
+	}
+	cs, ce := o.clip(ts, te)
+	ps, pe := prev.clip(ts, te)
+	if ce < cs || pe < ps {
+		return ce < cs && pe < ps
+	}
+	if prev.Chain != o.Chain || cs != ps || ce != pe {
+		return false
+	}
+	return slices.Equal(o.bracket(cs, ce), prev.bracket(cs, ce))
+}
+
+// clip returns [ts, te] ∩ [First().T, Last().T]; ce < cs when empty.
+func (o *Object) clip(ts, te int) (cs, ce int) {
+	return max(ts, o.First().T), min(te, o.Last().T)
+}
+
+// bracket returns the observations from the last one at or before t0 to
+// the first one at or after t1, for t0 <= t1 inside the lifetime.
+func (o *Object) bracket(t0, t1 int) []Observation {
+	lo := sort.Search(len(o.Obs), func(i int) bool { return o.Obs[i].T > t0 }) - 1
+	hi := sort.Search(len(o.Obs), func(i int) bool { return o.Obs[i].T >= t1 })
+	return o.Obs[lo : hi+1]
 }
 
 // Path is a concrete (certain) trajectory realization for one object: the

@@ -271,3 +271,44 @@ func TestDiamondTransposeCacheShared(t *testing.T) {
 		t.Errorf("transpose cache has %d entries, want 1 (shared matrix)", len(r.tr))
 	}
 }
+
+// TestSameWindow pins which edits keep an object's law over a query
+// window: only the chain, the lifetime clip and the observations that
+// bracket the clip count, so a gap appended after the window changes
+// nothing while any edit inside the bracket does.
+func TestSameWindow(t *testing.T) {
+	chain, other := lineChain(t, 50), lineChain(t, 50)
+	obj := func(c markov.Chain, obs ...Observation) *Object {
+		t.Helper()
+		o, err := NewObject(1, obs, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	base := []Observation{{0, 3}, {8, 4}, {15, 6}, {25, 9}}
+	with := func(extra ...Observation) []Observation {
+		return append(append([]Observation(nil), base...), extra...)
+	}
+	const ts, te = 10, 20
+	cases := []struct {
+		name    string
+		prev, o *Object
+		want    bool
+	}{
+		{"gap appended after te", obj(chain, base...), obj(chain, with(Observation{30, 10})...), true},
+		{"both clips empty", obj(chain, Observation{30, 1}, Observation{40, 2}), obj(other, Observation{30, 1}, Observation{40, 2}, Observation{50, 3}), true},
+		{"identical", obj(chain, base...), obj(chain, base...), true},
+		{"observation inserted inside", obj(chain, base...), obj(chain, with(Observation{18, 7})...), false},
+		{"bracketing observation replaced", obj(chain, base...), obj(chain, Observation{0, 3}, Observation{8, 4}, Observation{15, 6}, Observation{25, 8}), false},
+		{"first observation moved into the window", obj(chain, Observation{5, 3}, Observation{15, 6}, Observation{25, 9}), obj(chain, Observation{12, 3}, Observation{15, 6}, Observation{25, 9}), false},
+		{"chain swapped", obj(chain, base...), obj(other, base...), false},
+		{"one clip empty", obj(chain, Observation{30, 1}, Observation{40, 2}), obj(chain, Observation{19, 1}, Observation{40, 2}), false},
+		{"no previous version", nil, obj(chain, base...), false},
+	}
+	for _, c := range cases {
+		if got := c.o.SameWindow(c.prev, ts, te); got != c.want {
+			t.Errorf("%s: SameWindow = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

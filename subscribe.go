@@ -75,6 +75,14 @@ const DefaultSweepInterval = 2 * time.Millisecond
 // with equal keys draw identical worlds and identical (deterministic)
 // stop points whether evaluated alone or together.
 //
+// A group also keeps its last evaluation. When a write leaves every
+// sampled input unchanged — the same members, rows and candidate rows,
+// and for every row the same observations around the window, as when a
+// mover reports beyond it — the group re-runs only the prune and
+// replays its previous answers, which are the bytes a fresh draw would
+// produce (see shard.Carry); SubscriptionStats().Carried counts such
+// passes.
+//
 // Evaluations run asynchronously on the registry's worker pool — the
 // ingest path never samples — and per-subscription event queues are
 // bounded (see Delivery.QueueCap): slow consumers lose oldest events,
@@ -176,12 +184,17 @@ func newProcessor(net *Network, set *shard.Set) *Processor {
 }
 
 // standingState is a compatibility group's carry-over between
-// re-evaluations: the adaptive stop point (worlds drawn) its previous
-// evaluation proved sufficient. The next evaluation starts its
-// early-stop floor there — a query whose difficulty did not change
-// decides in one round instead of re-escalating from the first.
+// re-evaluations. worlds is the adaptive stop point its previous
+// evaluation proved sufficient: the next evaluation starts its
+// early-stop floor there, so a query whose difficulty did not change
+// decides in one round instead of re-escalating from the first. carry
+// is the previous evaluation itself: when a write left every sampled
+// input of the group unchanged — typically an observation appended
+// after the window — the next evaluation replays its answers instead of
+// drawing and evaluating the worlds again (see shard.Carry).
 type standingState struct {
 	worlds int
+	carry  *shard.Carry
 }
 
 // evalStanding runs one standing-query evaluation against the current
@@ -208,11 +221,11 @@ func (p *Processor) evalStandingGroup(_ string, metas []any, state any) ([]sub.E
 // group over ONE shared-world evaluation — same spec, same RunShared
 // path as the one-shot — so each member's bytes match a fresh one-shot
 // at the same version, seed and floor; it additionally exports the
-// influence region for the write-path touch test and the adaptive stop
-// point for budget reuse. All members share the spec (their
-// compatibility key pins query, window, k, seed, policy and floor; tau
-// and semantics too under an adaptive policy), so member i differs
-// only in its GroupItem.
+// influence region for the write-path touch test, and the adaptive stop
+// point and the evaluation itself (state) for the next pass to reuse.
+// All members share the spec (their compatibility key pins query,
+// window, k, seed, policy and floor; tau and semantics too under an
+// adaptive policy), so member i differs only in its GroupItem.
 func runStandingGroup(snap *shard.Snap, reqs []Request, state any) (evals []sub.Eval, newState any) {
 	newState = state
 	evals = make([]sub.Eval, len(reqs))
@@ -245,19 +258,25 @@ func runStandingGroup(snap *shard.Snap, reqs []Request, state any) (evals []sub.
 		}
 		items[i] = shard.GroupItem{Op: op, Tau: req.Tau}
 	}
+	prev, _ := state.(*standingState)
+	if prev == nil {
+		prev = &standingState{}
+	}
 	reused := false
-	if st, ok := state.(*standingState); ok && spec.Conf.Enabled() && st.worlds > spec.MinWorlds {
-		spec.MinWorlds = st.worlds
+	if spec.Conf.Enabled() && prev.worlds > spec.MinWorlds {
+		spec.MinWorlds = prev.worlds
 		reused = true
 	}
-	answers, raw, inf, err := snap.RunSharedInfluence(spec, items)
+	answers, raw, inf, carry, err := snap.RunSharedInfluence(spec, items, prev.carry)
 	if err != nil {
 		fail(err)
 		return evals, newState
 	}
+	next := &standingState{worlds: prev.worlds, carry: carry}
 	if spec.Conf.Enabled() && raw.Worlds > 0 {
-		newState = &standingState{worlds: raw.Worlds}
+		next.worlds = raw.Worlds
 	}
+	newState = next
 	stats := convStats(raw)
 	stats.GroupSize = len(reqs)
 	stats.BudgetReused = reused
@@ -285,6 +304,7 @@ func runStandingGroup(snap *shard.Snap, reqs []Request, state any) (evals []sub.
 			Payload:      resp,
 			Fingerprint:  fingerprintResponse(resp),
 			BudgetReused: reused,
+			Carried:      carry.Replayed(),
 		}
 		if a.Err == nil {
 			ev.Influencers = inf.IDs
