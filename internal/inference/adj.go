@@ -1,7 +1,8 @@
 package inference
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"pnn/internal/sparse"
 )
@@ -68,61 +69,101 @@ type triple struct {
 // adjBuilder assembles adj matrices from triples without sorting the
 // entries: a counting scatter groups by row, exploiting that the sweeps
 // emit columns in ascending order for each row. The builder's scratch
-// state is reused across the timesteps and gaps of one Adapt call.
+// state is reused across timesteps, gaps and, through builders, Adapt
+// calls.
 type adjBuilder struct {
-	slotOf map[int32]int32 // row state → discovery slot
-	rows   []int32         // slot → row state
-	counts []int32         // slot → entries in the row
-	tris   []triple        // the sweeps' triple buffer, kept between gaps
+	// slot[s] is row state s's discovery slot (then its rank) in the
+	// current build, valid only where stamp[s] == gen. Both grow to the
+	// largest row state seen; a build bumps gen instead of clearing them.
+	slot   []int32
+	stamp  []uint32
+	gen    uint32
+	rows   []int32  // slot → row state
+	counts []int32  // slot → entries in the row
+	tris   []triple // the sweeps' triple buffer, kept between gaps
 }
 
-func newAdjBuilder() *adjBuilder {
-	return &adjBuilder{slotOf: make(map[int32]int32, 64)}
+func newAdjBuilder() *adjBuilder { return &adjBuilder{} }
+
+// builders keeps adjBuilders between Adapt calls, so that slot arrays
+// spanning the state space are not allocated again for every object.
+var builders = sync.Pool{New: func() any { return newAdjBuilder() }}
+
+// next starts a new generation of stamps.
+func (b *adjBuilder) next() {
+	b.gen++
+	if b.gen == 0 {
+		clear(b.stamp)
+		b.gen = 1
+	}
+}
+
+// cover grows slot and stamp to cover state s.
+func (b *adjBuilder) cover(s int32) {
+	if int(s) < len(b.stamp) {
+		return
+	}
+	n := max(int(s)+1, 2*len(b.stamp))
+	b.stamp = append(b.stamp, make([]uint32, n-len(b.stamp))...)
+	b.slot = append(b.slot, make([]int32, n-len(b.slot))...)
+}
+
+// restrict drops every entry of v whose state is not in keep (in any
+// order), without renormalizing (callers normalize afterwards). v's
+// states must be rows of the last build, so that the stamps cover them.
+func (b *adjBuilder) restrict(v *svec, keep []int32) {
+	b.next()
+	for _, s := range keep {
+		b.cover(s)
+		b.stamp[s] = b.gen
+	}
+	out := 0
+	for i, s := range v.idx {
+		if b.stamp[s] == b.gen {
+			v.idx[out] = s
+			v.val[out] = v.val[i]
+			out++
+		}
+	}
+	v.idx = v.idx[:out]
+	v.val = v.val[:out]
 }
 
 // build consumes tris (they must have unique (r, c) pairs, with c emitted
 // in ascending order per r) and returns the row-normalized adj plus the
 // raw row-sum vector (sorted by state, not normalized).
 func (b *adjBuilder) build(tris []triple) (*adj, svec) {
-	clear(b.slotOf)
+	b.next()
 	b.rows = b.rows[:0]
 	b.counts = b.counts[:0]
 	for _, t := range tris {
-		slot, ok := b.slotOf[t.r]
-		if !ok {
-			slot = int32(len(b.rows))
-			b.slotOf[t.r] = slot
+		b.cover(t.r)
+		if b.stamp[t.r] != b.gen {
+			b.stamp[t.r] = b.gen
+			b.slot[t.r] = int32(len(b.rows))
 			b.rows = append(b.rows, t.r)
 			b.counts = append(b.counts, 0)
 		}
-		b.counts[slot]++
+		b.counts[b.slot[t.r]]++
 	}
-	// Sort the (few) distinct rows ascending; slotRank maps discovery slot
-	// to its position in sorted order.
+	// The (few) distinct rows in ascending order; from here on slot[s]
+	// holds row s's rank in that order instead of its discovery slot.
 	nRows := len(b.rows)
-	order := make([]int32, nRows)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool { return b.rows[order[i]] < b.rows[order[j]] })
-
 	a := &adj{
-		src: make([]int32, nRows),
+		src: append(make([]int32, 0, nRows), b.rows...),
 		off: make([]int32, nRows+1),
 		dst: make([]int32, len(tris)),
 		p:   make([]float64, len(tris)),
 	}
-	rankOf := make([]int32, nRows) // discovery slot → sorted rank
-	for rank, slot := range order {
-		rankOf[slot] = int32(rank)
-		a.src[rank] = b.rows[slot]
-		a.off[rank+1] = a.off[rank] + b.counts[slot]
+	slices.Sort(a.src)
+	for rank, s := range a.src {
+		a.off[rank+1] = a.off[rank] + b.counts[b.slot[s]]
+		b.slot[s] = int32(rank)
 	}
 	// Scatter entries; per-row fill pointers start at the row offsets.
-	fill := make([]int32, nRows)
-	copy(fill, a.off[:nRows])
+	fill := append(b.counts[:0], a.off[:nRows]...)
 	for _, t := range tris {
-		rank := rankOf[b.slotOf[t.r]]
+		rank := b.slot[t.r]
 		k := fill[rank]
 		a.dst[k] = t.c
 		a.p[k] = t.p
@@ -180,25 +221,6 @@ func (v svec) sum() float64 {
 		s += x
 	}
 	return s
-}
-
-// restrictTo drops every entry whose state is not in the sorted set keep,
-// without renormalizing (callers normalize afterwards).
-func (v *svec) restrictTo(keep []int32) {
-	out := 0
-	k := 0
-	for i, s := range v.idx {
-		for k < len(keep) && keep[k] < s {
-			k++
-		}
-		if k < len(keep) && keep[k] == s {
-			v.idx[out] = s
-			v.val[out] = v.val[i]
-			out++
-		}
-	}
-	v.idx = v.idx[:out]
-	v.val = v.val[:out]
 }
 
 // normalizePruned scales v to mass 1, dropping entries below eps first.

@@ -3,6 +3,7 @@ package inference
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -60,6 +61,19 @@ func TestAdjBuilderReuse(t *testing.T) {
 	if len(a2.src) != 2 || a2.src[0] != 4 || a2.src[1] != 5 {
 		t.Errorf("a2 = %v", a2.src)
 	}
+	// Row states far past the slot arrays' capacity grow them mid-build,
+	// and a later build over small states must not see the large ones.
+	a3, _ := b.build([]triple{{r: 4, c: 1, p: 1}, {r: 70000, c: 2, p: 1}, {r: 4, c: 3, p: 1}})
+	a4, _ := b.build([]triple{{r: 5, c: 0, p: 1}})
+	if len(a3.src) != 2 || a3.src[0] != 4 || a3.src[1] != 70000 || a3.off[1] != 2 {
+		t.Errorf("a3 = %v / %v", a3.src, a3.off)
+	}
+	if len(a4.src) != 1 || a4.src[0] != 5 {
+		t.Errorf("a4 = %v", a4.src)
+	}
+	if a1.src[0] != 1 || a2.src[0] != 4 || a2.src[1] != 5 {
+		t.Errorf("earlier results corrupted by growth: %v, %v", a1.src, a2.src)
+	}
 }
 
 func TestAdjBuilderEmpty(t *testing.T) {
@@ -89,6 +103,60 @@ func TestAdjToRowMap(t *testing.T) {
 	}
 }
 
+// randomTris emits triples over nRows distinct rows drawn from
+// [0, rowSpace), in the sweep pattern (ascending c per r, grouped by c
+// as when the forward sweep's outer loop ascends over sources), and
+// returns them with the naive row maps they describe.
+func randomTris(rng *rand.Rand, rowSpace, nRows int) ([]triple, map[int32]map[int32]float64) {
+	var tris []triple
+	naive := map[int32]map[int32]float64{}
+	usedRows := rng.Perm(rowSpace)[:nRows]
+	for c := int32(0); c < 10; c++ {
+		for _, ri := range usedRows {
+			r := int32(ri)
+			if rng.Float64() < 0.5 {
+				continue
+			}
+			p := rng.Float64() + 0.01
+			tris = append(tris, triple{r: r, c: c, p: p})
+			if naive[r] == nil {
+				naive[r] = map[int32]float64{}
+			}
+			naive[r][c] = p
+		}
+	}
+	return tris, naive
+}
+
+// checkNaive compares a build's output with the naive row maps.
+func checkNaive(t *testing.T, a *adj, sums svec, naive map[int32]map[int32]float64) {
+	t.Helper()
+	if len(a.src) != len(naive) {
+		t.Fatalf("%d rows, want %d", len(a.src), len(naive))
+	}
+	for r, row := range naive {
+		total := 0.0
+		for _, p := range row {
+			total += p
+		}
+		if math.Abs(sums.find(r)-total) > 1e-12 {
+			t.Fatalf("sum(%d) = %v, want %v", r, sums.find(r), total)
+		}
+		cols, vals := a.row(r)
+		if len(cols) != len(row) {
+			t.Fatalf("row %d has %d entries, want %d", r, len(cols), len(row))
+		}
+		if !sort.SliceIsSorted(cols, func(i, j int) bool { return cols[i] < cols[j] }) {
+			t.Fatalf("row %d cols unsorted: %v", r, cols)
+		}
+		for k, c := range cols {
+			if math.Abs(vals[k]-row[c]/total) > 1e-12 {
+				t.Fatalf("entry (%d,%d) = %v, want %v", r, c, vals[k], row[c]/total)
+			}
+		}
+	}
+}
+
 func TestAdjBuilderMatchesNaive(t *testing.T) {
 	// Property: against a naive map-based construction, the builder
 	// produces identical normalized rows, for random inputs emitted in the
@@ -96,48 +164,50 @@ func TestAdjBuilderMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	b := newAdjBuilder()
 	for trial := 0; trial < 100; trial++ {
-		nRows := 1 + rng.Intn(6)
-		var tris []triple
-		naive := map[int32]map[int32]float64{}
-		usedRows := rng.Perm(20)[:nRows]
-		// Emit grouped by c (ascending), mirroring the forward sweep where
-		// the outer loop ascends over sources.
-		for c := int32(0); c < 10; c++ {
-			for _, ri := range usedRows {
-				r := int32(ri)
-				if rng.Float64() < 0.5 {
-					continue
-				}
-				p := rng.Float64() + 0.01
-				tris = append(tris, triple{r: r, c: c, p: p})
-				if naive[r] == nil {
-					naive[r] = map[int32]float64{}
-				}
-				naive[r][c] = p
-			}
-		}
+		tris, naive := randomTris(rng, 20, 1+rng.Intn(6))
 		a, sums := b.build(tris)
-		for r, row := range naive {
-			total := 0.0
-			for _, p := range row {
-				total += p
-			}
-			if math.Abs(sums.find(r)-total) > 1e-12 {
-				t.Fatalf("sum(%d) = %v, want %v", r, sums.find(r), total)
-			}
-			cols, vals := a.row(r)
-			if len(cols) != len(row) {
-				t.Fatalf("row %d has %d entries, want %d", r, len(cols), len(row))
-			}
-			if !sort.SliceIsSorted(cols, func(i, j int) bool { return cols[i] < cols[j] }) {
-				t.Fatalf("row %d cols unsorted: %v", r, cols)
-			}
-			for k, c := range cols {
-				if math.Abs(vals[k]-row[c]/total) > 1e-12 {
-					t.Fatalf("entry (%d,%d) = %v, want %v", r, c, vals[k], row[c]/total)
-				}
-			}
+		checkNaive(t, a, sums, naive)
+	}
+	// The same builder, now over row states that keep outgrowing its
+	// slot arrays, interleaved with builds back over small states. Every
+	// result is checked again after the last build, which must not have
+	// disturbed it.
+	type built struct {
+		a     *adj
+		sums  svec
+		naive map[int32]map[int32]float64
+	}
+	var all []built
+	for trial := 0; trial < 120; trial++ {
+		rowSpace := 20
+		if trial%3 != 0 {
+			rowSpace = 20 << (trial / 12)
 		}
+		tris, naive := randomTris(rng, rowSpace, 1+rng.Intn(20))
+		a, sums := b.build(tris)
+		checkNaive(t, a, sums, naive)
+		all = append(all, built{a, sums, naive})
+	}
+	if len(b.stamp) < 20<<9 {
+		t.Fatalf("slot arrays hold %d states: the rows never outgrew them", len(b.stamp))
+	}
+	for _, x := range all {
+		checkNaive(t, x.a, x.sums, x.naive)
+	}
+}
+
+func TestAdjBuilderRestrict(t *testing.T) {
+	b := newAdjBuilder()
+	_, ns := b.build([]triple{{r: 2, c: 0, p: 1}, {r: 5, c: 0, p: 2}, {r: 9, c: 1, p: 3}})
+	// The keep set is unordered and reaches past the slot arrays.
+	b.restrict(&ns, []int32{90000, 9, 3, 2})
+	if !slices.Equal(ns.idx, []int32{2, 9}) || !slices.Equal(ns.val, []float64{1, 3}) {
+		t.Fatalf("restricted = %v / %v, want [2 9] / [1 3]", ns.idx, ns.val)
+	}
+	// A later build sees none of the keep set's stamps.
+	a, _ := b.build([]triple{{r: 3, c: 0, p: 1}})
+	if !slices.Equal(a.src, []int32{3}) {
+		t.Fatalf("build after restrict: src = %v", a.src)
 	}
 }
 

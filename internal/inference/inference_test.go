@@ -648,3 +648,35 @@ func BenchmarkSample(b *testing.B) {
 		s.Sample(rng)
 	}
 }
+
+// BenchmarkAdaptGap times Algorithm 2 over one 10-tic gap of the
+// benchmark dataset's 10 000-state, branching-8 chain, with the chain's
+// transpose already cached: the per-gap kernel of every boot, recovery
+// and observation write.
+func BenchmarkAdaptGap(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sp, err := space.Synthetic(10000, 8, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := markov.NewHomogeneous(sp.TransitionMatrix(0.5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var path []int
+	for len(path) < 11 {
+		path = sp.ShortestPath(rng.Intn(sp.Len()), rng.Intn(sp.Len()))
+	}
+	o := benchObject(b, []uncertain.Observation{{T: 0, State: path[0]}, {T: 10, State: path[10]}}, h)
+	reach := uncertain.NewReach()
+	if _, err := AdaptShared(o, reach); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AdaptShared(o, reach); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -110,7 +110,8 @@ func adaptFrom(prev *Model, o *uncertain.Object, reach *uncertain.Reach) (*Model
 	// post over [a.T, b.T).
 	m.fwd[0] = unitSvec(int32(o.First().State)).toVec()
 	m.post[n-1] = unitSvec(int32(o.Last().State)).toVec()
-	bld := newAdjBuilder()
+	bld := builders.Get().(*adjBuilder)
+	defer builders.Put(bld)
 	for g, pg := range o.SameGaps(prev.obj) {
 		if pg < 0 {
 			if err := m.adaptGap(g, reach, bld); err != nil {
@@ -134,14 +135,16 @@ func adaptFrom(prev *Model, o *uncertain.Object, reach *uncertain.Reach) (*Model
 // the gap's reachability diamond (forward ∩ backward support): states
 // outside it have zero posterior probability by construction, and carrying
 // them (the full forward cone) would make memory explode for objects with
-// long observation gaps and strong idle bias.
+// long observation gaps and strong idle bias. The sweep's own support
+// never leaves the forward cone, so restricting it to the backward cone
+// alone (Reach.Backward) restricts it to the diamond.
 func (m *Model) adaptGap(g int, reach *uncertain.Reach, bld *adjBuilder) error {
 	o, start := m.obj, m.start
 	a, b := o.Obs[g], o.Obs[g+1]
-	// diamond[k] is the sorted feasible state set at a.T+k. Computing it
-	// errors out on contradicting observations before any heavy work
-	// happens.
-	diamond, err := reach.Diamond(o, g)
+	// cone[k] is the set of states at a.T+k that can still reach b.
+	// Computing it errors out on contradicting observations before any
+	// heavy work happens.
+	cone, err := reach.Backward(o, g)
 	if err != nil {
 		return fmt.Errorf("inference: %w", err)
 	}
@@ -168,7 +171,7 @@ func (m *Model) adaptGap(g int, reach *uncertain.Reach, bld *adjBuilder) error {
 		// stored matrices) memory-bounded by the set of actually feasible
 		// states.
 		rt, ns := bld.build(tris)
-		ns.restrictTo(diamond[t-a.T])
+		bld.restrict(&ns, cone[t-a.T])
 		if t == b.T {
 			// Incorporate the observation (line 8) after checking it is
 			// consistent with the propagated support.

@@ -100,23 +100,3 @@ func Propagate(c Chain, v sparse.Vec, t0, t1 int) sparse.Vec {
 	}
 	return cur
 }
-
-// SupportStep returns the forward support image of states under M: every
-// state reachable in exactly one transition from any state in from.
-func SupportStep(m *sparse.CSR, from []int32) []int32 {
-	seen := make(map[int32]struct{}, len(from)*2)
-	for _, i := range from {
-		cols, vals := m.Row(int(i))
-		for k, c := range cols {
-			if vals[k] > 0 {
-				seen[c] = struct{}{}
-			}
-		}
-	}
-	out := make([]int32, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}

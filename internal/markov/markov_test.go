@@ -109,15 +109,3 @@ func TestPropagate(t *testing.T) {
 		t.Errorf("mass not preserved: %v", got.Sum())
 	}
 }
-
-func TestSupportStep(t *testing.T) {
-	m := chain2(t)
-	got := SupportStep(m, []int32{0})
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("SupportStep from {0} = %v", got)
-	}
-	got = SupportStep(m, []int32{1})
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("SupportStep from {1} = %v", got)
-	}
-}

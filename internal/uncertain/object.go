@@ -35,8 +35,8 @@ type Object struct {
 // NewObject validates and constructs an uncertain object. Observations are
 // sorted by time; duplicate timestamps and out-of-range states are
 // rejected. Whether the observations contradict the chain is checked
-// separately (and more expensively) by CheckConsistent or during model
-// adaptation.
+// separately (and more expensively) by the reachability sweeps of index
+// builds and model adaptation (Reach.Diamond, Reach.Backward).
 func NewObject(id int, obs []Observation, chain markov.Chain) (*Object, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("uncertain: object %d has no observations", id)

@@ -1,7 +1,6 @@
 package uncertain
 
 import (
-	"math/rand"
 	"testing"
 
 	"pnn/internal/markov"
@@ -203,8 +202,8 @@ func TestDiamondContradicting(t *testing.T) {
 	if _, err := r.Diamond(o, 0); err == nil {
 		t.Error("expected contradiction error")
 	}
-	if err := r.CheckConsistent(o); err == nil {
-		t.Error("CheckConsistent should fail")
+	if _, err := r.Backward(o, 0); err == nil {
+		t.Error("Backward should fail")
 	}
 }
 
@@ -220,39 +219,6 @@ func TestDiamondBadGap(t *testing.T) {
 	}
 	if _, err := r.Diamond(o, -1); err == nil {
 		t.Error("expected gap index error")
-	}
-}
-
-func TestCheckConsistentOK(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	sp, err := space.Synthetic(400, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := markov.NewHomogeneous(sp.TransitionMatrix(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Build an object along a real shortest path, observing every 4th step:
-	// by construction the observations are consistent.
-	var path []int
-	for len(path) < 10 {
-		a, b := rng.Intn(sp.Len()), rng.Intn(sp.Len())
-		path = sp.ShortestPath(a, b)
-	}
-	var obs []Observation
-	for t := 0; t < len(path); t += 4 {
-		obs = append(obs, Observation{T: t, State: path[t]})
-	}
-	if last := len(path) - 1; obs[len(obs)-1].T != last {
-		obs = append(obs, Observation{T: last, State: path[last]})
-	}
-	o, err := NewObject(1, obs, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := NewReach().CheckConsistent(o); err != nil {
-		t.Errorf("CheckConsistent: %v", err)
 	}
 }
 

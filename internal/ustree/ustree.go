@@ -65,23 +65,19 @@ type Tree struct {
 // BuildLenient is Build for noisy databases: objects whose observations
 // contradict their chain are skipped instead of failing the whole build.
 // It returns the tree over the consistent objects plus the positions (in
-// the input slice) of the skipped ones.
+// the input slice) of the skipped ones. Each object's gaps are swept once:
+// the sweep that would find a contradiction is the one that builds the
+// object's run.
 func BuildLenient(sp *space.Space, objs []*uncertain.Object, reach *uncertain.Reach) (*Tree, []int, error) {
 	if reach == nil {
 		reach = uncertain.NewReach()
 	}
-	var kept []*uncertain.Object
+	t := newTree(sp, len(objs))
 	var skipped []int
 	for i, o := range objs {
-		if err := reach.CheckConsistent(o); err != nil {
+		if _, err := t.Insert(o, reach); err != nil {
 			skipped = append(skipped, i)
-			continue
 		}
-		kept = append(kept, o)
-	}
-	t, err := Build(sp, kept, reach)
-	if err != nil {
-		return nil, nil, err
 	}
 	return t, skipped, nil
 }
@@ -93,20 +89,23 @@ func Build(sp *space.Space, objs []*uncertain.Object, reach *uncertain.Reach) (*
 	if reach == nil {
 		reach = uncertain.NewReach()
 	}
-	t := &Tree{
-		sp:      sp,
-		objs:    objs,
-		runs:    make([][]gapApprox, len(objs)),
-		horizon: [2]int{math.MaxInt32, math.MinInt32},
-	}
-	for oi, o := range objs {
-		run, err := computeRun(sp, o, reach, nil, nil)
-		if err != nil {
+	t := newTree(sp, len(objs))
+	for _, o := range objs {
+		if _, err := t.Insert(o, reach); err != nil {
 			return nil, err
 		}
-		t.setRun(oi, run)
 	}
 	return t, nil
+}
+
+// newTree returns an empty tree with room for n objects.
+func newTree(sp *space.Space, n int) *Tree {
+	return &Tree{
+		sp:      sp,
+		objs:    make([]*uncertain.Object, 0, n),
+		runs:    make([][]gapApprox, 0, n),
+		horizon: [2]int{math.MaxInt32, math.MinInt32},
+	}
 }
 
 // computeRun materializes the per-timestep rectangle approximation of

@@ -2,6 +2,7 @@ package ustree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pnn/internal/geo"
@@ -111,6 +112,54 @@ func TestBuildContradictingObject(t *testing.T) {
 		uncertain.Observation{T: 2, State: 90})
 	if _, err := Build(sp, []*uncertain.Object{bad}, nil); err == nil {
 		t.Error("expected contradiction error from Build")
+	}
+}
+
+// TestBuildLenientMatchesBuild mixes objects whose observations follow
+// the line with contradicting ones (a jump, or a contradiction in a later
+// gap only): BuildLenient must skip exactly the contradicting positions
+// and index the others exactly as Build does.
+func TestBuildLenientMatchesBuild(t *testing.T) {
+	sp, c := lineWorld(t)
+	rng := rand.New(rand.NewSource(4))
+	var objs, kept []*uncertain.Object
+	var wantSkipped []int
+	for i := 0; i < 40; i++ {
+		s := 10 + rng.Intn(80)
+		obs := []uncertain.Observation{{T: i, State: s}, {T: i + 5, State: s + rng.Intn(5)}, {T: i + 9, State: s}}
+		if i%3 == 1 {
+			obs[1+rng.Intn(2)].State = (s + 50) % 100
+			wantSkipped = append(wantSkipped, i)
+		}
+		o := mkObj(t, i, c, obs...)
+		objs = append(objs, o)
+		if i%3 != 1 {
+			kept = append(kept, o)
+		}
+	}
+	lenient, skipped, err := BuildLenient(sp, objs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(skipped, wantSkipped) {
+		t.Fatalf("skipped %v, want %v", skipped, wantSkipped)
+	}
+	strict, err := Build(sp, kept, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lenient.Len() != strict.Len() || lenient.NumLeaves() != strict.NumLeaves() {
+		t.Fatalf("lenient tree has %d objects / %d gaps, strict %d / %d",
+			lenient.Len(), lenient.NumLeaves(), strict.Len(), strict.NumLeaves())
+	}
+	for oi := range kept {
+		for tt := 0; tt < 50; tt++ {
+			lr, lok := lenient.RectAt(oi, tt)
+			sr, sok := strict.RectAt(oi, tt)
+			if lr != sr || lok != sok {
+				t.Fatalf("object %d t=%d: lenient %v %v, strict %v %v", oi, tt, lr, lok, sr, sok)
+			}
+		}
 	}
 }
 
