@@ -6,11 +6,11 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"pnn/internal/mcrand"
-	"pnn/internal/query"
 	"pnn/internal/shard"
 )
 
@@ -125,50 +125,153 @@ type BatchOptions struct {
 
 // RunBatch answers a slice of independent queries, fanning them across a
 // pool of `workers` goroutines (0 or less: GOMAXPROCS). All queries share
-// the processor's sampler cache, so an object's model is adapted at most
-// once for the whole batch. Each request draws its worlds from its own
-// Seed, which makes every Response deterministic — independent of the
-// worker count and of scheduling order. The whole batch runs against the
-// single engine snapshot current when RunBatch was called, so its
-// responses are mutually consistent even while AddObject/Observe traffic
-// lands concurrently. Responses align with requests by index;
-// per-request failures land in Response.Err, never panic the batch.
+// the sampler cache, so an object's model is adapted at most once for
+// the whole batch. Each request draws its worlds from its own Seed,
+// which makes every Response deterministic — independent of the worker
+// count and of scheduling order. The whole batch runs against one view
+// (on a processor, the engine snapshot current when RunBatch was
+// called), so its responses are mutually consistent even while
+// AddObject/Observe traffic lands concurrently. Responses align with
+// requests by index; per-request failures land in Response.Err, never
+// panic the batch.
 //
 // It is RunBatchStats with sharing disabled, discarding the batch-level
 // accounting.
-func (p *Processor) RunBatch(reqs []Request, workers int) []Response {
-	out, _ := p.RunBatchStats(reqs, BatchOptions{Workers: workers})
+func (e *Executor) RunBatch(reqs []Request, workers int) []Response {
+	out, _ := e.RunBatchStats(reqs, BatchOptions{Workers: workers})
 	return out
 }
 
 // RunBatchStats is RunBatch with explicit options — most importantly
 // shared-world coalescing (BatchOptions.ShareWorlds) — and returns the
 // batch-level work accounting alongside the responses.
-func (p *Processor) RunBatchStats(reqs []Request, opts BatchOptions) ([]Response, BatchStats) {
+//
+// A view that cannot pin one snapshot for the batch (a cluster router)
+// may answer its units at different version vectors. The batch then
+// re-runs the units that differ from the newest vector once, and fails
+// the requests of any unit that still differs with the view's StaleErr:
+// a batch never mixes snapshots silently.
+func (e *Executor) RunBatchStats(reqs []Request, opts BatchOptions) ([]Response, BatchStats) {
 	out := make([]Response, len(reqs))
 	bst := BatchStats{Requests: len(reqs)}
 	if len(reqs) == 0 {
 		return out, bst
 	}
-	snap := p.set.Snapshot()
+	v := e.view()
+	units := batchUnits(v, reqs, opts, out)
+	if opts.ShareWorlds {
+		bst.Groups = len(units)
+	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.ShareWorlds {
-		p.runShared(snap, reqs, opts.SharedSeed, workers, out, &bst)
+	vectors := make([][]int64, len(units))
+	var mu sync.Mutex
+	runUnit := func(u int) {
+		b := units[u]
+		run, err := runGroup(v, b.spec, b.items, nil)
+		vectors[u] = run.Version.Vector
+		mu.Lock()
+		bst.SamplerBuilds += run.Stats.SamplerBuilds
+		bst.AdaptTime += run.Stats.AdaptTime
+		mu.Unlock()
+		if err != nil {
+			for _, i := range b.idx {
+				out[i] = Response{Version: run.Version, Err: err}
+			}
+			return
+		}
+		for j, resp := range respond(b.spec, b.items, run) {
+			out[b.idx[j]] = resp
+		}
+	}
+	runPool(len(units), workers, runUnit)
+	stale := staleUnits(vectors)
+	if len(stale) == 0 {
 		return out, bst
 	}
-	var mu sync.Mutex
-	runPool(len(reqs), workers, func(i int) {
-		var raw query.Stats
-		out[i], raw = runOne(snap, reqs[i])
-		mu.Lock()
-		bst.SamplerBuilds += raw.SamplerBuilds
-		bst.AdaptTime += raw.AdaptTime
-		mu.Unlock()
-	})
+	runPool(len(stale), workers, func(j int) { runUnit(stale[j]) })
+	for _, u := range staleUnits(vectors) {
+		vi := VersionInfo{Vector: vectors[u]}
+		for _, x := range vectors[u] {
+			vi.Max += x
+		}
+		if n := len(vectors[u]); n > 1 {
+			// Per-shard versions each start at 1; the composite is the
+			// vector sum minus the startup offset.
+			vi.Max -= int64(n - 1)
+		}
+		err := fmt.Errorf("%w: batch gathered across concurrent writes twice", v.StaleErr())
+		for _, i := range units[u].idx {
+			out[i] = Response{Version: vi, Err: err}
+		}
+	}
 	return out, bst
+}
+
+// batchUnit is one independently re-runnable slice of a batch — one
+// request, or one shared-world group — and the response slots it fills.
+type batchUnit struct {
+	spec  shard.GroupSpec
+	items []shard.GroupItem
+	idx   []int
+}
+
+// batchUnits splits a batch into units: one per valid request, or under
+// world sharing one per shared-world group, keyed and seeded by
+// shareKey. Invalid requests fail individually without joining a unit.
+func batchUnits(v View, reqs []Request, opts BatchOptions, out []Response) []*batchUnit {
+	var units []*batchUnit
+	groups := make(map[string]*batchUnit)
+	for i, req := range reqs {
+		spec, item, err := NormalizeRequest(req)
+		if err != nil {
+			out[i] = Response{Version: v.Version(), Err: err}
+			continue
+		}
+		var u *batchUnit
+		if opts.ShareWorlds {
+			key, seed := shareKey(opts.SharedSeed, spec)
+			if u = groups[key]; u == nil {
+				spec.Seed = seed
+				u = &batchUnit{spec: spec}
+				groups[key] = u
+				units = append(units, u)
+			}
+		} else {
+			u = &batchUnit{spec: spec}
+			units = append(units, u)
+		}
+		u.items = append(u.items, item)
+		u.idx = append(u.idx, i)
+	}
+	return units
+}
+
+// staleUnits returns the units whose vector differs from the newest one
+// (the highest composite sum).
+func staleUnits(vectors [][]int64) []int {
+	sum := func(v []int64) int64 {
+		var s int64
+		for _, x := range v {
+			s += x
+		}
+		return s
+	}
+	best := 0
+	for u := range vectors {
+		if sum(vectors[u]) > sum(vectors[best]) {
+			best = u
+		}
+	}
+	var stale []int
+	for u := range vectors {
+		if !slices.Equal(vectors[u], vectors[best]) {
+			stale = append(stale, u)
+		}
+	}
+	return stale
 }
 
 // runPool fans fn over the item indices [0, n) on a pool of `workers`
@@ -202,112 +305,49 @@ func runPool(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// batchGroup is one shared-world group: the requests whose (query
-// positions over the window, interval, k) coincide, answered over one
-// sampled world set.
-type batchGroup struct {
-	q         Query
-	ts, te    int
-	k         int
-	seed      int64
-	conf      Confidence
-	minWorlds int
-	items     []shard.GroupItem
-	reqIdx    []int
-}
-
-// runShared partitions the valid requests into shared-world groups and
-// executes each group as one plan via shard.Snap.RunShared, fanning
-// groups across the worker pool. Invalid requests fail individually
-// without joining a group.
-func (p *Processor) runShared(snap *shard.Snap, reqs []Request, sharedSeed int64, workers int, out []Response, bst *BatchStats) {
-	groups := make(map[string]*batchGroup)
-	var order []*batchGroup
-	for i, req := range reqs {
-		k, op, err := normalizeRequest(req)
-		if err != nil {
-			out[i] = Response{Version: versionOf(snap), Err: err}
-			continue
-		}
-		key := groupKey(req.Query, req.Ts, req.Te, k, req.Confidence, req.MinWorlds)
-		g := groups[key]
-		if g == nil {
-			h := fnv.New64a()
-			h.Write([]byte(key))
-			g = &batchGroup{
-				q: req.Query, ts: req.Ts, te: req.Te, k: k,
-				seed:      mcrand.SubSeed64(sharedSeed, h.Sum64()),
-				conf:      req.Confidence,
-				minWorlds: req.MinWorlds,
-			}
-			groups[key] = g
-			order = append(order, g)
-		}
-		g.items = append(g.items, shard.GroupItem{Op: op, Tau: req.Tau})
-		g.reqIdx = append(g.reqIdx, i)
-	}
-	bst.Groups = len(order)
-	var mu sync.Mutex
-	runPool(len(order), workers, func(gi int) {
-		g := order[gi]
-		answers, st, err := sharedGroup(snap, g)
-		mu.Lock()
-		bst.SamplerBuilds += st.SamplerBuilds
-		bst.AdaptTime += st.AdaptTime
-		mu.Unlock()
-		for j, ri := range g.reqIdx {
-			if err != nil {
-				out[ri] = Response{Version: versionOf(snap), Err: err}
-				continue
-			}
-			out[ri] = answers[j]
-		}
-	})
-}
-
-// sharedGroup answers one group over one shared world set, converting
-// shard answers to facade responses. A panic becomes the whole group's
-// error rather than killing the worker.
-func sharedGroup(snap *shard.Snap, g *batchGroup) (resps []Response, st query.Stats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resps, err = nil, fmt.Errorf("pnn: shared batch group panicked: %v", r)
-		}
-	}()
-	answers, st, err := snap.RunShared(shard.GroupSpec{
-		Q: g.q, Ts: g.ts, Te: g.te, K: g.k, Seed: g.seed, Conf: g.conf, MinWorlds: g.minWorlds,
-	}, g.items)
+// NormalizeRequest validates req exactly like the one-shot, batch and
+// standing paths (same k defaulting, same error messages) and returns
+// the shared-world group spec plus the request's member item.
+func NormalizeRequest(req Request) (shard.GroupSpec, shard.GroupItem, error) {
+	k, op, err := normalizeRequest(req)
 	if err != nil {
-		return nil, st, err
+		return shard.GroupSpec{}, shard.GroupItem{}, err
 	}
-	stats := convStats(st)
-	stats.SamplerBuilds = 0 // batch-level accounting; see BatchStats
-	vi := versionOf(snap)
-	resps = make([]Response, len(answers))
-	for i, a := range answers {
-		resps[i] = Response{Stats: stats, Version: vi, Err: a.Err}
-		if a.Err != nil {
-			continue
-		}
-		resps[i].Results = convertResults(a.Results)
-		if a.Intervals != nil {
-			ivs := make([]IntervalResult, len(a.Intervals))
-			for j, r := range a.Intervals {
-				ivs[j] = IntervalResult{ObjectID: r.ID, Times: r.Times, Prob: r.Prob}
-			}
-			resps[i].Intervals = ivs
-		}
+	spec := shard.GroupSpec{
+		Q: req.Query, Ts: req.Ts, Te: req.Te, K: k, Seed: req.Seed, Conf: req.Confidence,
+		MinWorlds: req.MinWorlds,
 	}
-	return resps, st, nil
+	return spec, shard.GroupItem{Op: op, Tau: req.Tau}, nil
 }
 
-// normalizeRequest is the single validation point of both batch paths:
-// it checks the request fields that must hold before a request may join
-// a shared-world group (the fingerprint walks the query over the
-// window, so the window and reference must be sane) or run
-// independently, and maps the semantics to its predicate. Keeping one
-// copy means a given invalid request fails with the same error whether
-// or not sharing is enabled.
+// ShareGroup returns the world-sharing coalescing key of req and the
+// group seed it draws under sharedSeed — the key and seed RunBatchStats
+// groups and draws by.
+func ShareGroup(sharedSeed int64, req Request) (key string, seed int64, err error) {
+	spec, _, err := NormalizeRequest(req)
+	if err != nil {
+		return "", 0, err
+	}
+	key, seed = shareKey(sharedSeed, spec)
+	return key, seed, nil
+}
+
+// shareKey is the world-sharing key of a normalized spec and the group
+// seed its hash selects under sharedSeed.
+func shareKey(sharedSeed int64, spec shard.GroupSpec) (string, int64) {
+	key := groupKey(spec)
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return key, mcrand.SubSeed64(sharedSeed, h.Sum64())
+}
+
+// normalizeRequest is the single validation point of every request
+// path: it checks the request fields that must hold before a request
+// may join a shared-world group (the key walks the query over the
+// window, so the window and reference must be sane) or run alone, and
+// maps the semantics to its predicate. Keeping one copy means a given
+// invalid request fails with the same error on every path, local or
+// routed.
 func normalizeRequest(req Request) (k int, op shard.GroupOp, err error) {
 	k = req.K
 	if k == 0 {
@@ -345,14 +385,15 @@ func normalizeRequest(req Request) (k int, op shard.GroupOp, err error) {
 	return k, op, nil
 }
 
-// groupKey fingerprints what the sampled worlds of a request depend on:
-// the interval, k, the confidence policy and its MinWorlds floor (an
-// adaptive group's stop point is a function of policy and floor, so
-// requests differing in either must not share worlds) and the query's
-// position at every timestep of the window. Two requests with equal
-// keys can share one world set; the key's hash also fixes the group's
-// seed under the sharing contract.
-func groupKey(q Query, ts, te, k int, conf Confidence, minWorlds int) string {
+// groupKey fingerprints what the sampled worlds of a spec depend on
+// besides its seed: the interval, k, the confidence policy and its
+// MinWorlds floor (an adaptive group's stop point is a function of
+// policy and floor, so requests differing in either must not share
+// worlds) and the query's position at every timestep of the window.
+// Two requests with equal keys can share one world set; the key's hash
+// also fixes the group's seed under the sharing contract.
+func groupKey(spec shard.GroupSpec) string {
+	ts, te, conf := spec.Ts, spec.Te, spec.Conf
 	buf := make([]byte, 0, 56+16*(te-ts+1))
 	var tmp [8]byte
 	put := func(u uint64) {
@@ -361,93 +402,15 @@ func groupKey(q Query, ts, te, k int, conf Confidence, minWorlds int) string {
 	}
 	put(uint64(ts))
 	put(uint64(te))
-	put(uint64(k))
+	put(uint64(spec.K))
 	put(math.Float64bits(conf.Eps))
 	put(math.Float64bits(conf.Delta))
 	put(uint64(conf.MaxSamples))
-	put(uint64(minWorlds))
+	put(uint64(spec.MinWorlds))
 	for t := ts; t <= te; t++ {
-		pt := q.At(t)
+		pt := spec.Q.At(t)
 		put(math.Float64bits(pt.X))
 		put(math.Float64bits(pt.Y))
 	}
 	return string(buf)
-}
-
-// BatchForAllNN answers one P∀NN query per entry of qs over a shared
-// interval and threshold, seeding request i with baseSeed+i. It is
-// shorthand for RunBatch with ForAll requests.
-func (p *Processor) BatchForAllNN(qs []Query, ts, te int, tau float64, baseSeed int64, workers int) []Response {
-	return p.RunBatch(sameShape(ForAll, qs, ts, te, tau, baseSeed), workers)
-}
-
-// BatchExistsNN is BatchForAllNN with P∃NN semantics.
-func (p *Processor) BatchExistsNN(qs []Query, ts, te int, tau float64, baseSeed int64, workers int) []Response {
-	return p.RunBatch(sameShape(Exists, qs, ts, te, tau, baseSeed), workers)
-}
-
-func sameShape(sem Semantics, qs []Query, ts, te int, tau float64, baseSeed int64) []Request {
-	reqs := make([]Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = Request{Semantics: sem, Query: q, Ts: ts, Te: te, Tau: tau, Seed: baseSeed + int64(i)}
-	}
-	return reqs
-}
-
-// runOne answers one independent request, returning the facade response
-// plus the raw engine statistics for batch-level accounting. The
-// response's own SamplerBuilds is zeroed: build attribution to a single
-// request is scheduling-dependent, so it is reported only as the
-// batch-level sum.
-func runOne(snap *shard.Snap, req Request) (resp Response, raw query.Stats) {
-	// Enforce the no-panic contract: a panicking request becomes its own
-	// Response.Err instead of killing the worker goroutine (and with it
-	// the whole process).
-	defer func() {
-		if r := recover(); r != nil {
-			resp = Response{Version: versionOf(snap), Err: fmt.Errorf("pnn: batch request panicked: %v", r)}
-		}
-	}()
-	k, op, err := normalizeRequest(req)
-	if err != nil {
-		return Response{Version: versionOf(snap), Err: err}, raw
-	}
-	spec := shard.GroupSpec{
-		Q: req.Query, Ts: req.Ts, Te: req.Te, K: k, Seed: req.Seed, Conf: req.Confidence,
-		MinWorlds: req.MinWorlds,
-	}
-	switch op {
-	case shard.OpForAll:
-		resp.Results, raw, resp.Err = rawForAllKNN(snap, spec, req.Tau)
-	case shard.OpExists:
-		resp.Results, raw, resp.Err = rawExistsKNN(snap, spec, req.Tau)
-	case shard.OpCNN:
-		resp.Intervals, raw, resp.Err = rawContinuousKNN(snap, spec, req.Tau)
-	}
-	resp.Stats = convStats(raw)
-	resp.Stats.SamplerBuilds = 0 // batch-level accounting; see BatchStats
-	if req.Confidence.Enabled() {
-		resp.Stats.WorldFloor = req.MinWorlds
-	}
-	resp.Version = versionOf(snap)
-	return resp, raw
-}
-
-func rawForAllKNN(snap *shard.Snap, spec shard.GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	res, st, err := snap.ForAllKNNSpec(spec, tau)
-	return convertResults(res), st, err
-}
-
-func rawExistsKNN(snap *shard.Snap, spec shard.GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	res, st, err := snap.ExistsKNNSpec(spec, tau)
-	return convertResults(res), st, err
-}
-
-func rawContinuousKNN(snap *shard.Snap, spec shard.GroupSpec, tau float64) ([]IntervalResult, query.Stats, error) {
-	res, st, err := snap.CNNKSpec(spec, tau)
-	out := make([]IntervalResult, len(res))
-	for i, r := range res {
-		out[i] = IntervalResult{ObjectID: r.ID, Times: r.Times, Prob: r.Prob}
-	}
-	return out, st, err
 }

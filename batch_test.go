@@ -119,22 +119,22 @@ func TestRunBatchMatchesSingleQueries(t *testing.T) {
 	sameResponses(t, batch, want)
 }
 
-// TestBatchWrappers checks the convenience wrappers seed request i with
-// baseSeed+i.
+// TestBatchWrappers checks that same-shape batches seeding request i
+// with baseSeed+i answer alike whatever the worker count.
 func TestBatchWrappers(t *testing.T) {
 	_, proc, q := batchDB(t, 200)
 	qs := []Query{q, AtPoint(Point{X: 0.3, Y: 0.5}), AtPoint(Point{X: 0.7, Y: 0.3})}
-	got := proc.BatchForAllNN(qs, 1, 5, 0.05, 7, 3)
 	var reqs []Request
 	for i, qq := range qs {
 		reqs = append(reqs, Request{Semantics: ForAll, Query: qq, Ts: 1, Te: 5, Tau: 0.05, Seed: 7 + int64(i)})
 	}
+	got := proc.RunBatch(reqs, 3)
 	sameResponses(t, got, proc.RunBatch(reqs, 1))
 
-	gotEx := proc.BatchExistsNN(qs, 1, 5, 0.05, 7, 0)
 	for i := range reqs {
 		reqs[i].Semantics = Exists
 	}
+	gotEx := proc.RunBatch(reqs, 0)
 	sameResponses(t, gotEx, proc.RunBatch(reqs, 2))
 }
 

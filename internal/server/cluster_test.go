@@ -55,10 +55,12 @@ func clusterDB(t *testing.T, net *pnn.Network, keep func(id int) bool) *pnn.DB {
 }
 
 // clusterRig is the full conformance topology: one single-process
-// two-shard reference server, two one-shard peers behind /internal, a
-// coordinator over them and the router server it backs.
+// two-shard reference server and its processor, two one-shard peers
+// behind /internal, a coordinator over them and the router server it
+// backs.
 type clusterRig struct {
 	net    *pnn.Network
+	proc   *pnn.Processor
 	single *httptest.Server
 	router *httptest.Server
 	coord  *cluster.Coordinator
@@ -118,7 +120,51 @@ func newClusterRig(t *testing.T, workers int) *clusterRig {
 	t.Cleanup(coord.CloseSubscriptions)
 	router := httptest.NewServer(New(net, coord, Config{BatchWorkers: 2, Ingest: true, Role: RoleRouter}))
 	t.Cleanup(router.Close)
-	return &clusterRig{net: net, single: single, router: router, coord: coord, peers: peers}
+	return &clusterRig{net: net, proc: proc, single: single, router: router, coord: coord, peers: peers}
+}
+
+// TestClusterWorldFloorEveryPath sends one confidence request with a
+// MinWorlds floor through Run, a solo batch and a shared batch, on the
+// reference processor and on the coordinator. Each pair must give equal
+// Response values, and every one reports the floor in effect. The peers
+// hold exactly the processor's shards, so the version vector and the
+// pruning diagnostics match too.
+func TestClusterWorldFloorEveryPath(t *testing.T) {
+	rig := newClusterRig(t, 2)
+	center := rig.net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
+	req := pnn.Request{
+		Semantics: pnn.Exists, Query: pnn.AtState(rig.net, center), Ts: 1, Te: 6, Tau: 0.05, Seed: 42,
+		Confidence: pnn.Confidence{Eps: 0.05, MaxSamples: 2000}, MinWorlds: 1024,
+	}
+	batch := func(opts pnn.BatchOptions) func(Backend) pnn.Response {
+		return func(b Backend) pnn.Response {
+			out, _ := b.RunBatchStats([]pnn.Request{req}, opts)
+			return out[0]
+		}
+	}
+	paths := []struct {
+		name string
+		run  func(Backend) pnn.Response
+	}{
+		{"run", func(b Backend) pnn.Response { return b.Run(req) }},
+		{"batch-solo", batch(pnn.BatchOptions{Workers: 2})},
+		{"batch-shared", batch(pnn.BatchOptions{Workers: 2, ShareWorlds: true, SharedSeed: 9})},
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			want := p.run(rig.proc)
+			got := p.run(rig.coord)
+			if want.Err != nil || len(want.Results) == 0 {
+				t.Fatalf("processor answered %+v; the check needs a non-empty answer", want)
+			}
+			if want.Stats.WorldFloor != req.MinWorlds {
+				t.Errorf("processor WorldFloor = %d, want %d", want.Stats.WorldFloor, req.MinWorlds)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("router and processor answers differ:\nrouter:    %+v\nprocessor: %+v", got, want)
+			}
+		})
+	}
 }
 
 // TestClusterQueryConformance is the determinism contract of cluster

@@ -320,32 +320,17 @@ func (s *Snap) RunSharedInfluence(spec GroupSpec, items []GroupItem, prev *Carry
 // neighbors of q at every t in the interval is at least tau, sorted by
 // object ID.
 func (s *Snap) ForAllKNN(q query.Query, ts, te, k int, tau float64, seed int64) ([]Result, query.Stats, error) {
-	return s.nnQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau, true)
+	return s.nnQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, GroupItem{Op: OpForAll, Tau: tau})
 }
 
 // ExistsKNN answers P∃kNNQ(q, D, [ts..te], tau) over the composite
 // snapshot.
 func (s *Snap) ExistsKNN(q query.Query, ts, te, k int, tau float64, seed int64) ([]Result, query.Stats, error) {
-	return s.nnQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau, false)
+	return s.nnQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, GroupItem{Op: OpExists, Tau: tau})
 }
 
-// ForAllKNNSpec is ForAllKNN taking the full spec, including the
-// adaptive sample-budget policy.
-func (s *Snap) ForAllKNNSpec(spec GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	return s.nnQuery(spec, tau, true)
-}
-
-// ExistsKNNSpec is ExistsKNN taking the full spec.
-func (s *Snap) ExistsKNNSpec(spec GroupSpec, tau float64) ([]Result, query.Stats, error) {
-	return s.nnQuery(spec, tau, false)
-}
-
-func (s *Snap) nnQuery(spec GroupSpec, tau float64, forall bool) ([]Result, query.Stats, error) {
-	op := OpExists
-	if forall {
-		op = OpForAll
-	}
-	ans, st, err := s.RunShared(spec, []GroupItem{{Op: op, Tau: tau}})
+func (s *Snap) nnQuery(spec GroupSpec, item GroupItem) ([]Result, query.Stats, error) {
+	ans, st, err := s.RunShared(spec, []GroupItem{item})
 	if err != nil {
 		return nil, st, err
 	}
@@ -356,13 +341,7 @@ func (s *Snap) nnQuery(spec GroupSpec, tau float64, forall bool) ([]Result, quer
 // per object the maximal timestamp sets on which it stays among the k
 // likely nearest, sorted by (object ID, times).
 func (s *Snap) CNNK(q query.Query, ts, te, k int, tau float64, seed int64) ([]IntervalResult, query.Stats, error) {
-	return s.CNNKSpec(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-}
-
-// CNNKSpec is CNNK taking the full spec, including the adaptive
-// sample-budget policy.
-func (s *Snap) CNNKSpec(spec GroupSpec, tau float64) ([]IntervalResult, query.Stats, error) {
-	ans, st, err := s.RunShared(spec, []GroupItem{{Op: OpCNN, Tau: tau}})
+	ans, st, err := s.RunShared(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, []GroupItem{{Op: OpCNN, Tau: tau}})
 	if err != nil {
 		return nil, st, err
 	}

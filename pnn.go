@@ -47,7 +47,6 @@ import (
 	"pnn/internal/shard"
 	"pnn/internal/space"
 	"pnn/internal/store"
-	"pnn/internal/sub"
 	"pnn/internal/uncertain"
 )
 
@@ -255,11 +254,31 @@ func (db *DB) BuildLenientSharded(samples, shards int) (*Processor, []int, error
 // without blocking readers (RCU). A query overlapping a write therefore
 // answers from a consistent version — either entirely before or
 // entirely after the update.
+//
+// Queries, batches and standing queries run through the embedded
+// Executor, over a view that pins the snapshot current when each
+// request, batch or standing evaluation starts.
 type Processor struct {
-	net  *Network
-	set  *shard.Set
-	subs *sub.Registry // standing queries; see subscribe.go
+	*Executor
+	net *Network
+	set *shard.Set
 }
+
+// newProcessor wires a processor around a built shard set, including
+// the standing-query registry (its workers are idle until the first
+// Subscribe).
+func newProcessor(net *Network, set *shard.Set) *Processor {
+	return &Processor{
+		Executor: NewExecutor(func() View { return snapView{set.Snapshot()} }),
+		net:      net,
+		set:      set,
+	}
+}
+
+// ShardSet exposes the processor's underlying shard set — the handle a
+// peer's /internal RPC surface scatters from. It is an internal-package
+// type: only code inside this module can do anything with it.
+func (p *Processor) ShardSet() *shard.Set { return p.set }
 
 // SetParallelism spreads the gather-phase world evaluation of ForAllNN /
 // ExistsNN (and kNN variants) over p goroutines per query; the scatter
@@ -309,7 +328,7 @@ func (p *Processor) AddObject(id int, obs []Observation) (Ingest, error) {
 	if err != nil {
 		return Ingest{}, err
 	}
-	p.notifySubscriptions(snap)
+	p.NotifyWrite(id, snap.Toucher(id))
 	return Ingest{Version: snap.Version, Objects: snap.NumObjects()}, nil
 }
 
@@ -329,7 +348,7 @@ func (p *Processor) Observe(id int, obs ...Observation) (Ingest, error) {
 	if err != nil {
 		return Ingest{}, err
 	}
-	p.notifySubscriptions(snap)
+	p.NotifyWrite(id, snap.Toucher(id))
 	return Ingest{Version: snap.Version, Objects: snap.NumObjects()}, nil
 }
 
@@ -431,23 +450,25 @@ type CacheStats = query.CacheStats
 // neighbor of q at every t in [ts, te] is at least tau (P∀NNQ,
 // Definition 2).
 func (p *Processor) ForAllNN(q Query, ts, te int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapForAllKNN(p.set.Snapshot(), q, ts, te, 1, tau, seed)
+	return p.ForAllKNN(q, ts, te, 1, tau, seed)
 }
 
 // ExistsNN returns every object whose probability of being the NN of q at
 // at least one t in [ts, te] is at least tau (P∃NNQ, Definition 1).
 func (p *Processor) ExistsNN(q Query, ts, te int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapExistsKNN(p.set.Snapshot(), q, ts, te, 1, tau, seed)
+	return p.ExistsKNN(q, ts, te, 1, tau, seed)
 }
 
 // ForAllKNN generalizes ForAllNN to "among the k nearest" (Section 8).
 func (p *Processor) ForAllKNN(q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapForAllKNN(p.set.Snapshot(), q, ts, te, k, tau, seed)
+	r := p.answer(shard.OpForAll, q, ts, te, k, tau, seed)
+	return r.Results, r.Stats, r.Err
 }
 
 // ExistsKNN generalizes ExistsNN to "among the k nearest".
 func (p *Processor) ExistsKNN(q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	return snapExistsKNN(p.set.Snapshot(), q, ts, te, k, tau, seed)
+	r := p.answer(shard.OpExists, q, ts, te, k, tau, seed)
+	return r.Results, r.Stats, r.Err
 }
 
 // ContinuousNN answers PCNNQ (Definition 3): for each object the maximal
@@ -461,21 +482,15 @@ func (p *Processor) ContinuousNN(q Query, ts, te int, tau float64, seed int64) (
 // ContinuousKNN generalizes ContinuousNN to "among the k nearest"
 // (PCkNNQ, Section 8).
 func (p *Processor) ContinuousKNN(q Query, ts, te, k int, tau float64, seed int64) ([]IntervalResult, Stats, error) {
-	return snapContinuousKNN(p.set.Snapshot(), q, ts, te, k, tau, seed)
+	r := p.answer(shard.OpCNN, q, ts, te, k, tau, seed)
+	return r.Intervals, r.Stats, r.Err
 }
 
-// Run answers one Request — any semantics, with the full knob set
-// including the adaptive Confidence policy — against the current
-// snapshot. It is the single-query form of RunBatch: the same
-// validation, the same determinism contract (the answer depends only on
-// the snapshot and the request's own fields), with Response.Stats
-// reporting the worlds actually drawn and the error bound they
-// guarantee. Unlike the batch path, SamplerBuilds is reported on the
-// response itself.
-func (p *Processor) Run(req Request) Response {
-	resp, raw := runOne(p.set.Snapshot(), req)
-	resp.Stats.SamplerBuilds = raw.SamplerBuilds
-	return resp
+// answer runs one fixed-budget query with k taken as given: unlike a
+// Request, k = 0 is an error here, not a default.
+func (p *Processor) answer(op shard.GroupOp, q Query, ts, te, k int, tau float64, seed int64) Response {
+	spec := shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}
+	return runSpec(p.view(), spec, shard.GroupItem{Op: op, Tau: tau})
 }
 
 // SampleBudget returns the fixed per-query sample budget the processor
@@ -484,40 +499,6 @@ func (p *Processor) Run(req Request) Response {
 // MaxSamples.
 func (p *Processor) SampleBudget() int {
 	return p.set.Snapshot().Parts[0].Engine.SampleCount()
-}
-
-func snapForAllKNN(snap *shard.Snap, q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	res, st, err := rawForAllKNN(snap, shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-	return res, convStats(st), err
-}
-
-func snapExistsKNN(snap *shard.Snap, q Query, ts, te, k int, tau float64, seed int64) ([]Result, Stats, error) {
-	res, st, err := rawExistsKNN(snap, shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-	return res, convStats(st), err
-}
-
-func snapContinuousKNN(snap *shard.Snap, q Query, ts, te, k int, tau float64, seed int64) ([]IntervalResult, Stats, error) {
-	res, st, err := rawContinuousKNN(snap, shard.GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, tau)
-	return res, convStats(st), err
-}
-
-func convertResults(res []shard.Result) []Result {
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{ObjectID: r.ID, Prob: r.Prob}
-	}
-	return out
-}
-
-func convStats(st query.Stats) Stats {
-	return Stats{
-		Candidates:    st.Candidates,
-		Influencers:   st.Influencers,
-		Worlds:        st.Worlds,
-		ErrorBound:    st.ErrorBound,
-		EarlyStopped:  st.EarlyStopped,
-		SamplerBuilds: st.SamplerBuilds,
-	}
 }
 
 // CacheStats returns the cumulative sampler-cache counters of this
@@ -615,6 +596,30 @@ func LoadDataset(r io.Reader) (*Network, *DB, error) {
 		return nil, nil, err
 	}
 	return wrapDataset(ds)
+}
+
+// Space exposes the network's embedded state space, which the
+// router-side gather needs to compute distances without building an
+// index of its own.
+func (n *Network) Space() *space.Space { return n.sp }
+
+// Retain drops every registered object whose ID fails keep, in place.
+// It is the peer-startup filter of cluster mode: each peer loads the
+// shared dataset, then retains only the IDs it owns on the consistent-
+// hash ring before building its index.
+func (db *DB) Retain(keep func(id int) bool) {
+	var ids []int
+	var objs []*uncertain.Object
+	byID := make(map[int]int)
+	for i, o := range db.objs {
+		if !keep(db.ids[i]) {
+			continue
+		}
+		byID[o.ID] = len(objs)
+		ids = append(ids, db.ids[i])
+		objs = append(objs, o)
+	}
+	db.ids, db.objs, db.byID = ids, objs, byID
 }
 
 func wrapDataset(ds *datagen.Dataset) (*Network, *DB, error) {

@@ -2,10 +2,8 @@ package pnn
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"time"
 
 	"pnn/internal/shard"
@@ -89,11 +87,15 @@ const DefaultSweepInterval = 2 * time.Millisecond
 // tracked by SubEvent.Dropped, and never block writers. The consumer
 // must drain Events() until the terminal Bye event (sent by
 // Unsubscribe and CloseSubscriptions), after which the channel closes.
-func (p *Processor) Subscribe(req Request, d Delivery) (*Subscription, error) {
+func (e *Executor) Subscribe(req Request, d Delivery) (*Subscription, error) {
 	if _, _, err := normalizeRequest(req); err != nil {
 		return nil, err
 	}
-	return p.subs.SubscribeKeyed(standingKey(req), func() sub.Eval { return p.evalStanding(req) }, d, req), nil
+	eval := func() sub.Eval {
+		evals, _ := e.evalStandingGroup("", []any{req}, nil)
+		return evals[0]
+	}
+	return e.subs.SubscribeKeyed(standingKey(req), eval, d, req), nil
 }
 
 // standingKey is the compatibility-group key of a standing request: the
@@ -107,20 +109,20 @@ func (p *Processor) Subscribe(req Request, d Delivery) (*Subscription, error) {
 // grouped stop point equals each member's solo stop point exactly.
 // Invalid requests key to "" (never grouped).
 func standingKey(req Request) string {
-	k, op, err := normalizeRequest(req)
+	spec, item, err := NormalizeRequest(req)
 	if err != nil {
 		return ""
 	}
-	buf := []byte(groupKey(req.Query, req.Ts, req.Te, k, req.Confidence, req.MinWorlds))
+	buf := []byte(groupKey(spec))
 	var tmp [8]byte
 	put := func(u uint64) {
 		binary.LittleEndian.PutUint64(tmp[:], u)
 		buf = append(buf, tmp[:]...)
 	}
-	put(uint64(req.Seed))
-	if req.Confidence.Enabled() {
-		put(uint64(op))
-		put(math.Float64bits(req.Tau))
+	put(uint64(spec.Seed))
+	if spec.Conf.Enabled() {
+		put(uint64(item.Op))
+		put(math.Float64bits(item.Tau))
 	}
 	return string(buf)
 }
@@ -128,59 +130,62 @@ func standingKey(req Request) string {
 // Unsubscribe removes a standing query; its consumer receives a
 // terminal Bye event and the channel closes. It reports whether the ID
 // was registered.
-func (p *Processor) Unsubscribe(id int64) bool { return p.subs.Unsubscribe(id) }
+func (e *Executor) Unsubscribe(id int64) bool { return e.subs.Unsubscribe(id) }
 
 // Subscription returns the standing query with the given ID, if
 // registered.
-func (p *Processor) Subscription(id int64) (*Subscription, bool) { return p.subs.Get(id) }
+func (e *Executor) Subscription(id int64) (*Subscription, bool) { return e.subs.Get(id) }
 
 // Subscriptions describes every registered standing query, ascending
 // by ID.
-func (p *Processor) Subscriptions() []SubscriptionInfo { return p.subs.List() }
+func (e *Executor) Subscriptions() []SubscriptionInfo { return e.subs.List() }
 
 // NumSubscriptions returns the number of registered standing queries.
-func (p *Processor) NumSubscriptions() int { return p.subs.Len() }
+func (e *Executor) NumSubscriptions() int { return e.subs.Len() }
 
 // SubscriptionStats returns the registry's cumulative counters.
-func (p *Processor) SubscriptionStats() SubscriptionStats { return p.subs.Stats() }
+func (e *Executor) SubscriptionStats() SubscriptionStats { return e.subs.Stats() }
 
 // WaitSubscriptionsIdle blocks until every pending re-evaluation has
 // drained (or the timeout elapses), reporting whether quiescence was
 // reached. After a successful wait, every subscription has evaluated
 // the newest snapshot its latest relevant write published.
-func (p *Processor) WaitSubscriptionsIdle(timeout time.Duration) bool {
-	return p.subs.WaitIdle(timeout)
+func (e *Executor) WaitSubscriptionsIdle(timeout time.Duration) bool {
+	return e.subs.WaitIdle(timeout)
 }
 
 // CloseSubscriptions shuts the subscription subsystem down: every
 // standing query receives a terminal Bye event and its channel closes.
-// The processor keeps answering one-shot queries; new Subscribe calls
-// return dead subscriptions. Safe to call more than once.
-func (p *Processor) CloseSubscriptions() { p.subs.Close() }
+// One-shot queries keep being answered; new Subscribe calls return dead
+// subscriptions. Safe to call more than once.
+func (e *Executor) CloseSubscriptions() { e.subs.Close() }
 
 // SetSweepInterval tunes the bounded delay of the subscription sweep
 // scheduler (default DefaultSweepInterval): longer intervals coalesce
 // more writes per grouped re-evaluation sweep at the cost of event
 // latency; 0 sweeps on every write.
-func (p *Processor) SetSweepInterval(d time.Duration) { p.subs.SetSweepInterval(d) }
+func (e *Executor) SetSweepInterval(d time.Duration) { e.subs.SetSweepInterval(d) }
 
 // SetSubscriptionGrouping toggles grouped re-evaluation of compatible
 // standing queries (default on). Off, every sweep re-evaluates touched
 // subscriptions one by one — the baseline the fanout benchmark
 // measures grouping against. Answer bytes are identical either way.
-func (p *Processor) SetSubscriptionGrouping(enabled bool) { p.subs.SetGrouping(enabled) }
+func (e *Executor) SetSubscriptionGrouping(enabled bool) { e.subs.SetGrouping(enabled) }
 
-// newProcessor wires a processor around a built shard set, including
-// the standing-query registry (its workers are idle until the first
-// Subscribe).
-func newProcessor(net *Network, set *shard.Set) *Processor {
-	p := &Processor{net: net, set: set}
-	p.subs = sub.New(sub.Options{
-		Workers:       runtime.GOMAXPROCS(0),
-		GroupEval:     p.evalStandingGroup,
-		SweepInterval: DefaultSweepInterval,
+// NotifyWrite classifies one published write of object id for the
+// standing queries. touch reports whether the written object may come
+// within bound[t-ts] of q at some t in [ts, te] — the stored influence
+// region of a standing query; untouched queries are not re-evaluated.
+// A processor answers it from the snapshot the write published, a
+// cluster router by asking the object's owner.
+func (e *Executor) NotifyWrite(id int, touch func(q Query, ts, te int, bound []float64) bool) {
+	e.subs.NotifyWrite(id, func(region any) bool {
+		r, ok := region.(*influenceRegion)
+		if !ok {
+			return true
+		}
+		return touch(r.q, r.ts, r.te, r.bound)
 	})
-	return p
 }
 
 // standingState is a compatibility group's carry-over between
@@ -191,34 +196,26 @@ func newProcessor(net *Network, set *shard.Set) *Processor {
 // is the previous evaluation itself: when a write left every sampled
 // input of the group unchanged — typically an observation appended
 // after the window — the next evaluation replays its answers instead of
-// drawing and evaluating the worlds again (see shard.Carry).
+// drawing and evaluating the worlds again (see shard.Carry). A view
+// that cannot replay leaves it nil.
 type standingState struct {
 	worlds int
 	carry  *shard.Carry
 }
 
-// evalStanding runs one standing-query evaluation against the current
-// snapshot without group-state reuse — the fallback path when the
-// registry has no grouping hook.
-func (p *Processor) evalStanding(req Request) sub.Eval {
-	evals, _ := runStandingGroup(p.set.Snapshot(), []Request{req}, nil)
-	return evals[0]
-}
-
 // evalStandingGroup is the registry's GroupEval hook: it re-evaluates
 // every member of one compatibility group as a single shared-world
-// group against the current snapshot, threading the group's adaptive
-// state through.
-func (p *Processor) evalStandingGroup(_ string, metas []any, state any) ([]sub.Eval, any) {
+// group on a fresh view, threading the group's state through.
+func (e *Executor) evalStandingGroup(_ string, metas []any, state any) ([]sub.Eval, any) {
 	reqs := make([]Request, len(metas))
 	for i, m := range metas {
 		reqs[i], _ = m.(Request)
 	}
-	return runStandingGroup(p.set.Snapshot(), reqs, state)
+	return runStandingGroup(e.view(), reqs, state)
 }
 
 // runStandingGroup answers every member of one compatible standing
-// group over ONE shared-world evaluation — same spec, same RunShared
+// group over ONE shared-world evaluation — same spec, same RunGroup
 // path as the one-shot — so each member's bytes match a fresh one-shot
 // at the same version, seed and floor; it additionally exports the
 // influence region for the write-path touch test, and the adaptive stop
@@ -226,37 +223,24 @@ func (p *Processor) evalStandingGroup(_ string, metas []any, state any) ([]sub.E
 // All members share the spec (their compatibility key pins query,
 // window, k, seed, policy and floor; tau and semantics too under an
 // adaptive policy), so member i differs only in its GroupItem.
-func runStandingGroup(snap *shard.Snap, reqs []Request, state any) (evals []sub.Eval, newState any) {
-	newState = state
-	evals = make([]sub.Eval, len(reqs))
-	fail := func(err error) {
+func runStandingGroup(v View, reqs []Request, state any) ([]sub.Eval, any) {
+	evals := make([]sub.Eval, len(reqs))
+	fail := func(vi VersionInfo, err error) ([]sub.Eval, any) {
 		for i := range evals {
-			resp := Response{Version: versionOf(snap), Err: err}
-			evals[i] = sub.Eval{Version: snap.Version, Payload: resp, Fingerprint: fingerprintResponse(resp)}
+			resp := Response{Version: vi, Err: err}
+			evals[i] = sub.Eval{Version: vi.Max, Payload: resp, Fingerprint: fingerprintResponse(resp)}
 		}
+		return evals, state
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			fail(fmt.Errorf("pnn: standing query panicked: %v", r))
-		}
-	}()
-	k, _, err := normalizeRequest(reqs[0])
+	spec, _, err := NormalizeRequest(reqs[0])
 	if err != nil {
-		fail(err)
-		return evals, newState
-	}
-	spec := shard.GroupSpec{
-		Q: reqs[0].Query, Ts: reqs[0].Ts, Te: reqs[0].Te, K: k,
-		Seed: reqs[0].Seed, Conf: reqs[0].Confidence, MinWorlds: reqs[0].MinWorlds,
+		return fail(v.Version(), err)
 	}
 	items := make([]shard.GroupItem, len(reqs))
 	for i, req := range reqs {
-		_, op, err := normalizeRequest(req)
-		if err != nil {
-			fail(err)
-			return evals, newState
+		if _, items[i], err = NormalizeRequest(req); err != nil {
+			return fail(v.Version(), err)
 		}
-		items[i] = shard.GroupItem{Op: op, Tau: req.Tau}
 	}
 	prev, _ := state.(*standingState)
 	if prev == nil {
@@ -267,68 +251,33 @@ func runStandingGroup(snap *shard.Snap, reqs []Request, state any) (evals []sub.
 		spec.MinWorlds = prev.worlds
 		reused = true
 	}
-	answers, raw, inf, carry, err := snap.RunSharedInfluence(spec, items, prev.carry)
+	run, err := runGroup(v, spec, items, prev.carry)
 	if err != nil {
-		fail(err)
-		return evals, newState
+		return fail(run.Version, err)
 	}
-	next := &standingState{worlds: prev.worlds, carry: carry}
-	if spec.Conf.Enabled() && raw.Worlds > 0 {
-		next.worlds = raw.Worlds
+	next := &standingState{worlds: prev.worlds, carry: run.Carry}
+	if spec.Conf.Enabled() && run.Stats.Worlds > 0 {
+		next.worlds = run.Stats.Worlds
 	}
-	newState = next
-	stats := convStats(raw)
-	stats.GroupSize = len(reqs)
-	stats.BudgetReused = reused
-	if spec.Conf.Enabled() {
-		stats.WorldFloor = spec.MinWorlds
-	}
-	region := &influenceRegion{q: spec.Q, ts: spec.Ts, te: spec.Te, bound: inf.PruneDist}
-	vi := versionOf(snap)
-	for i, a := range answers {
-		resp := Response{Stats: stats, Version: vi, Err: a.Err}
-		if a.Err == nil {
-			switch items[i].Op {
-			case shard.OpCNN:
-				ivs := make([]IntervalResult, len(a.Intervals))
-				for j, r := range a.Intervals {
-					ivs[j] = IntervalResult{ObjectID: r.ID, Times: r.Times, Prob: r.Prob}
-				}
-				resp.Intervals = ivs
-			default:
-				resp.Results = convertResults(a.Results)
-			}
-		}
+	region := &influenceRegion{q: spec.Q, ts: spec.Ts, te: spec.Te, bound: run.Influence.PruneDist}
+	for i, resp := range respond(spec, items, run) {
+		resp.Stats.SamplerBuilds = run.Stats.SamplerBuilds
+		resp.Stats.GroupSize = len(reqs)
+		resp.Stats.BudgetReused = reused
 		ev := sub.Eval{
-			Version:      snap.Version,
+			Version:      run.Version.Max,
 			Payload:      resp,
 			Fingerprint:  fingerprintResponse(resp),
 			BudgetReused: reused,
-			Carried:      carry.Replayed(),
+			Carried:      run.Carry.Replayed(),
 		}
-		if a.Err == nil {
-			ev.Influencers = inf.IDs
+		if resp.Err == nil {
+			ev.Influencers = run.Influence.IDs
 			ev.Region = region
 		}
 		evals[i] = ev
 	}
-	return evals, newState
-}
-
-// notifySubscriptions classifies one published write for the standing
-// queries: the touch predicate resolves the written object against the
-// snapshot that write produced (never a later one), so the test runs
-// on exactly the rectangles the published version serves.
-func (p *Processor) notifySubscriptions(snap *shard.Snap) {
-	id := snap.ChangedID
-	toucher := snap.Toucher(id)
-	p.subs.NotifyWrite(id, func(region any) bool {
-		r, ok := region.(*influenceRegion)
-		if !ok {
-			return true
-		}
-		return toucher(r.q, r.ts, r.te, r.bound)
-	})
+	return evals, next
 }
 
 // fingerprintResponse condenses a Response's answer — results,
