@@ -20,11 +20,11 @@ import (
 	"pnn/internal/inference"
 	"pnn/internal/markov"
 	"pnn/internal/query"
+	"pnn/internal/shard"
 	"pnn/internal/space"
 	"pnn/internal/sparse"
 	"pnn/internal/store"
 	"pnn/internal/uncertain"
-	"pnn/internal/ustree"
 )
 
 func benchFigure(b *testing.B, run func(exp.Config) (*exp.Table, error)) {
@@ -51,8 +51,8 @@ func BenchmarkFig12(b *testing.B)    { benchFigure(b, exp.Fig12) }
 func BenchmarkFig13(b *testing.B)    { benchFigure(b, exp.Fig13) }
 func BenchmarkFig14(b *testing.B)    { benchFigure(b, exp.Fig14) }
 
-// benchDB builds one reusable dataset+tree for the query-path ablations.
-func benchDB(b *testing.B) (*datagen.Dataset, *ustree.Tree) {
+// benchDB builds one reusable dataset for the query-path ablations.
+func benchDB(b *testing.B) *datagen.Dataset {
 	b.Helper()
 	cfg := datagen.DefaultSyntheticConfig()
 	cfg.States = 3000
@@ -61,49 +61,69 @@ func benchDB(b *testing.B) (*datagen.Dataset, *ustree.Tree) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := ustree.Build(ds.Space, ds.Objects, nil)
+	return ds
+}
+
+// benchSet indexes ds in a one-shard set drawing `samples` worlds per
+// query; setup, when set, configures it before every model is adapted.
+func benchSet(b *testing.B, ds *datagen.Dataset, samples int, setup func(*shard.Set)) *shard.Snap {
+	b.Helper()
+	set, err := shard.New(ds.Space, ds.Objects, samples, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ds, tree
-}
-
-func runQueries(b *testing.B, ds *datagen.Dataset, eng *query.Engine) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(2))
-	if _, err := eng.PrepareAll(); err != nil {
+	if setup != nil {
+		setup(set)
+	}
+	if err := set.PrepareAll(); err != nil {
 		b.Fatal(err)
 	}
+	return set.Snapshot()
+}
+
+// runQueries times random 10-tic queries of one semantics through
+// RunShared, the call a served request ends in.
+func runQueries(b *testing.B, ds *datagen.Dataset, snap *shard.Snap, item shard.GroupItem, rng *rand.Rand) {
+	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := ds.Objects[rng.Intn(len(ds.Objects))]
 		q := query.StateQuery(ds.Space.Point(datagen.RandomQueryState(ds.Space, rng)))
 		ts := o.First().T + 1
-		if _, _, err := eng.ForAllNN(q, ts, ts+9, 0, rng); err != nil {
+		spec := shard.GroupSpec{Q: q, Ts: ts, Te: ts + 9, K: 1, Seed: rng.Int63()}
+		ans, _, err := snap.RunShared(spec, []shard.GroupItem{item})
+		if err == nil {
+			err = ans[0].Err
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// forAllNN is the P∀NN query the ablations time.
+var forAllNN = shard.GroupItem{Op: shard.OpForAll}
+
 // BenchmarkAblationPruning quantifies the UST-tree filter step: identical
 // queries with the spatial filter on vs. lifetime-only filtering.
 func BenchmarkAblationPruning(b *testing.B) {
-	ds, tree := benchDB(b)
+	ds := benchDB(b)
 	b.Run("ust-filter", func(b *testing.B) {
-		runQueries(b, ds, query.NewEngine(tree, 1000))
+		runQueries(b, ds, benchSet(b, ds, 1000, nil), forAllNN, rand.New(rand.NewSource(2)))
 	})
 	b.Run("no-filter", func(b *testing.B) {
-		eng := query.NewEngine(tree, 1000)
-		eng.DisablePruning()
-		runQueries(b, ds, eng)
+		snap := benchSet(b, ds, 1000, func(set *shard.Set) {
+			set.Snapshot().Parts[0].Engine.DisablePruning()
+		})
+		runQueries(b, ds, snap, forAllNN, rand.New(rand.NewSource(2)))
 	})
 }
 
 // BenchmarkAblationSamples compares a fixed paper-style sample count with
 // Hoeffding-derived counts at two accuracy targets.
 func BenchmarkAblationSamples(b *testing.B) {
-	ds, tree := benchDB(b)
+	ds := benchDB(b)
 	for _, tc := range []struct {
 		name string
 		n    int
@@ -113,7 +133,7 @@ func BenchmarkAblationSamples(b *testing.B) {
 		{"hoeffding-eps0.05", query.RequiredSamples(0.05, 0.05)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			runQueries(b, ds, query.NewEngine(tree, tc.n))
+			runQueries(b, ds, benchSet(b, ds, tc.n, nil), forAllNN, rand.New(rand.NewSource(2)))
 		})
 	}
 }
@@ -173,24 +193,11 @@ func BenchmarkAblationDenseVsSparse(b *testing.B) {
 // BenchmarkAblationApriori shows the PCNN lattice growth as τ shrinks
 // (Section 4.3: result sets explode for small τ).
 func BenchmarkAblationApriori(b *testing.B) {
-	ds, tree := benchDB(b)
+	ds := benchDB(b)
 	rng := rand.New(rand.NewSource(4))
 	for _, tau := range []float64{0.9, 0.5, 0.1} {
 		b.Run(map[float64]string{0.9: "tau-0.9", 0.5: "tau-0.5", 0.1: "tau-0.1"}[tau], func(b *testing.B) {
-			eng := query.NewEngine(tree, 1000)
-			if _, err := eng.PrepareAll(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o := ds.Objects[rng.Intn(len(ds.Objects))]
-				q := query.StateQuery(ds.Space.Point(datagen.RandomQueryState(ds.Space, rng)))
-				ts := o.First().T + 1
-				if _, _, err := eng.CNN(q, ts, ts+9, tau, rng); err != nil {
-					b.Fatal(err)
-				}
-			}
+			runQueries(b, ds, benchSet(b, ds, 1000, nil), shard.GroupItem{Op: shard.OpCNN, Tau: tau}, rng)
 		})
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"pnn/internal/datagen"
 	"pnn/internal/query"
-	"pnn/internal/ustree"
+	"pnn/internal/shard"
 )
 
 // Ablation measures the implementation's main design choices, on one
@@ -23,35 +23,19 @@ func Ablation(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := ustree.Build(ds.Space, ds.Objects, nil)
-	if err != nil {
-		return nil, err
-	}
-
 	type variant struct {
-		name  string
-		setup func() *query.Engine
+		name    string
+		samples int
+		setup   func(*shard.Set)
 	}
 	variants := []variant{
-		{"baseline (filter, fixed samples)", func() *query.Engine {
-			return query.NewEngine(tree, cfg.Samples)
+		{"baseline (filter, fixed samples)", cfg.Samples, nil},
+		{"no UST filter", cfg.Samples, func(set *shard.Set) {
+			set.Snapshot().Parts[0].Engine.DisablePruning()
 		}},
-		{"no UST filter", func() *query.Engine {
-			e := query.NewEngine(tree, cfg.Samples)
-			e.DisablePruning()
-			return e
-		}},
-		{"hoeffding eps=0.02", func() *query.Engine {
-			return query.NewEngine(tree, query.RequiredSamples(0.02, 0.05))
-		}},
-		{"hoeffding eps=0.05", func() *query.Engine {
-			return query.NewEngine(tree, query.RequiredSamples(0.05, 0.05))
-		}},
-		{"parallel x4", func() *query.Engine {
-			e := query.NewEngine(tree, cfg.Samples)
-			e.SetParallelism(4)
-			return e
-		}},
+		{"hoeffding eps=0.02", query.RequiredSamples(0.02, 0.05), nil},
+		{"hoeffding eps=0.05", query.RequiredSamples(0.05, 0.05), nil},
+		{"parallel x4", cfg.Samples, func(set *shard.Set) { set.SetParallelism(4) }},
 	}
 
 	// Fixed query workload shared by every variant.
@@ -82,15 +66,16 @@ func Ablation(cfg Config) (*Table, error) {
 		Header: []string{"variant", "worlds", "refine(ms)", "|I(q)| avg"},
 	}
 	for _, v := range variants {
-		eng := v.setup()
-		if _, err := eng.PrepareAll(); err != nil {
+		snap, _, err := prepared(ds.Space, ds.Objects, v.samples, v.setup)
+		if err != nil {
 			return nil, err
 		}
 		var total time.Duration
 		var infl float64
 		qrng := rand.New(rand.NewSource(cfg.Seed + 99))
 		for _, sp := range qs {
-			_, st, err := eng.ForAllNN(sp.q, sp.ts, sp.te, 0, qrng)
+			spec := shard.GroupSpec{Q: sp.q, Ts: sp.ts, Te: sp.te, K: 1, Seed: qrng.Int63()}
+			_, st, err := answer(snap, spec, shard.OpForAll, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -99,7 +84,7 @@ func Ablation(cfg Config) (*Table, error) {
 		}
 		n := float64(len(qs))
 		t.AddRow(v.name,
-			itoa(eng.SampleCount()),
+			itoa(v.samples),
 			ms(total.Seconds()*1000/n),
 			f1(infl/n))
 	}

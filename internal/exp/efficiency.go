@@ -6,7 +6,7 @@ import (
 
 	"pnn/internal/datagen"
 	"pnn/internal/query"
-	"pnn/internal/ustree"
+	"pnn/internal/shard"
 )
 
 // The efficiency experiments (Figures 6-9) measure, per parameter setting:
@@ -31,16 +31,11 @@ type effPoint struct {
 // the whole database ("this phase can be performed once and used for all
 // queries", Section 7.1); FA and EX are per-query sampling/evaluation.
 func runEfficiency(ds *datagen.Dataset, cfg Config, intervalLen int, rng *rand.Rand) (effPoint, error) {
-	tree, err := ustree.Build(ds.Space, ds.Objects, nil)
+	snap, prep, err := prepared(ds.Space, ds.Objects, cfg.Samples, nil)
 	if err != nil {
 		return effPoint{}, err
 	}
-	eng := query.NewEngine(tree, cfg.Samples)
-	prep, err := eng.PrepareAll()
-	if err != nil {
-		return effPoint{}, err
-	}
-	pt := effPoint{ts: prep.Seconds() * 1000}
+	pt := effPoint{ts: prep}
 	for qi := 0; qi < cfg.Queries; qi++ {
 		qs := datagen.RandomQueryState(ds.Space, rng)
 		q := query.StateQuery(ds.Space.Point(qs))
@@ -55,11 +50,12 @@ func runEfficiency(ds *datagen.Dataset, cfg Config, intervalLen int, rng *rand.R
 		if te < ts {
 			te = ts
 		}
-		_, stFA, err := eng.ForAllNN(q, ts, te, 0, rng)
+		spec := shard.GroupSpec{Q: q, Ts: ts, Te: te, K: 1, Seed: rng.Int63()}
+		_, stFA, err := answer(snap, spec, shard.OpForAll, 0)
 		if err != nil {
 			return effPoint{}, err
 		}
-		_, stEX, err := eng.ExistsNN(q, ts, te, 0, rng)
+		_, stEX, err := answer(snap, spec, shard.OpExists, 0)
 		if err != nil {
 			return effPoint{}, err
 		}

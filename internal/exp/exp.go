@@ -12,6 +12,12 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
+	"time"
+
+	"pnn/internal/query"
+	"pnn/internal/shard"
+	"pnn/internal/space"
+	"pnn/internal/uncertain"
 )
 
 // Config scales the experiments. The zero value is not usable; call
@@ -65,6 +71,38 @@ func DefaultConfig() Config {
 // 10k samples). Figures take minutes each at this scale.
 func PaperConfig() Config {
 	return Config{Paper: true, Samples: 10000, Queries: 5, Seed: 1}
+}
+
+// Every sampled figure answers through shard.Snap.RunShared — the call a
+// pnnserve request ends in — over a one-shard set, so the figures measure
+// the draw policy the service runs.
+
+// prepared indexes objs in a one-shard set drawing `samples` worlds per
+// query, applies setup (when set), and adapts every model up front. It
+// returns the snapshot and the adaptation time in ms: the TS column,
+// which "can be performed once and used for all queries" (Section 7.1).
+func prepared(sp *space.Space, objs []*uncertain.Object, samples int, setup func(*shard.Set)) (*shard.Snap, float64, error) {
+	set, err := shard.New(sp, objs, samples, 1)
+	if err != nil {
+		return nil, 0, err
+	}
+	if setup != nil {
+		setup(set)
+	}
+	begin := time.Now()
+	if err := set.PrepareAll(); err != nil {
+		return nil, 0, err
+	}
+	return set.Snapshot(), time.Since(begin).Seconds() * 1000, nil
+}
+
+// answer runs one query of semantics op at threshold tau over snap.
+func answer(snap *shard.Snap, spec shard.GroupSpec, op shard.GroupOp, tau float64) (shard.GroupAnswer, query.Stats, error) {
+	ans, st, err := snap.RunShared(spec, []shard.GroupItem{{Op: op, Tau: tau}})
+	if err != nil {
+		return shard.GroupAnswer{}, st, err
+	}
+	return ans[0], st, ans[0].Err
 }
 
 // Table is one experiment's output: a titled header plus formatted rows.

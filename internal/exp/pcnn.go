@@ -6,7 +6,7 @@ import (
 
 	"pnn/internal/datagen"
 	"pnn/internal/query"
-	"pnn/internal/ustree"
+	"pnn/internal/shard"
 )
 
 // The PCNN experiments (Figures 13, 14) measure the continuous query: TS
@@ -21,16 +21,11 @@ type pcnnPoint struct {
 }
 
 func runPCNN(ds *datagen.Dataset, cfg Config, tau float64, rng *rand.Rand) (pcnnPoint, error) {
-	tree, err := ustree.Build(ds.Space, ds.Objects, nil)
+	snap, prep, err := prepared(ds.Space, ds.Objects, cfg.Samples, nil)
 	if err != nil {
 		return pcnnPoint{}, err
 	}
-	eng := query.NewEngine(tree, cfg.Samples)
-	prep, err := eng.PrepareAll()
-	if err != nil {
-		return pcnnPoint{}, err
-	}
-	pt := pcnnPoint{ts: prep.Seconds() * 1000}
+	pt := pcnnPoint{ts: prep}
 	for qi := 0; qi < cfg.Queries; qi++ {
 		qs := datagen.RandomQueryState(ds.Space, rng)
 		q := query.StateQuery(ds.Space.Point(qs))
@@ -43,13 +38,14 @@ func runPCNN(ds *datagen.Dataset, cfg Config, tau float64, rng *rand.Rand) (pcnn
 		if te < ts {
 			te = ts
 		}
-		res, st, err := eng.CNN(q, ts, te, tau, rng)
+		spec := shard.GroupSpec{Q: q, Ts: ts, Te: te, K: 1, Seed: rng.Int63()}
+		ans, st, err := answer(snap, spec, shard.OpCNN, tau)
 		if err != nil {
 			return pcnnPoint{}, err
 		}
 		pt.sa += st.RefineTime.Seconds() * 1000
 		pt.sets += float64(st.LatticeSets)
-		pt.maximal += float64(len(res))
+		pt.maximal += float64(len(ans.Intervals))
 	}
 	n := float64(cfg.Queries)
 	pt.sa /= n

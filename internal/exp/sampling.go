@@ -8,9 +8,9 @@ import (
 	"pnn/internal/inference"
 	"pnn/internal/markov"
 	"pnn/internal/query"
+	"pnn/internal/shard"
 	"pnn/internal/space"
 	"pnn/internal/uncertain"
-	"pnn/internal/ustree"
 )
 
 // Fig10 reproduces the sampling-efficiency experiment: the expected number
@@ -173,36 +173,34 @@ func Fig11(cfg Config) (*Table, error) {
 			}
 			objs = append(objs, o)
 		}
-		tree, err := ustree.Build(sp, objs, nil)
-		if err != nil {
-			return nil, err
-		}
-		dsObjects := objs
 		q := query.StateQuery(anchorPt)
-		ts, te := 12, 16 // |T| = 5 as in the paper
+		const ts, te = 12, 16 // |T| = 5 as in the paper
 
-		ref := query.NewEngine(tree, refSamples)
-		refAll, _, err := ref.ForAllNN(q, ts, te, 0, rng)
+		// estimate answers P∀NN and P∃NN over one shared set of `samples`
+		// worlds, as probability maps keyed by object ID (= index in objs).
+		estimate := func(samples int) (forall, exists map[int]float64, err error) {
+			set, err := shard.New(sp, objs, samples, 1)
+			if err != nil {
+				return nil, nil, err
+			}
+			spec := shard.GroupSpec{Q: q, Ts: ts, Te: te, K: 1, Seed: rng.Int63()}
+			ans, _, err := set.Snapshot().RunShared(spec, []shard.GroupItem{{Op: shard.OpForAll}, {Op: shard.OpExists}})
+			if err != nil {
+				return nil, nil, err
+			}
+			return probs(ans[0].Results), probs(ans[1].Results), nil
+		}
+		refAllM, refExM, err := estimate(refSamples)
 		if err != nil {
 			return nil, err
 		}
-		refEx, _, err := ref.ExistsNN(q, ts, te, 0, rng)
-		if err != nil {
-			return nil, err
-		}
-
-		sa := query.NewEngine(tree, saSamples)
-		saAll, _, err := sa.ForAllNN(q, ts, te, 0, rng)
-		if err != nil {
-			return nil, err
-		}
-		saEx, _, err := sa.ExistsNN(q, ts, te, 0, rng)
+		saAllM, saExM, err := estimate(saSamples)
 		if err != nil {
 			return nil, err
 		}
 
 		var models []*inference.Model
-		for _, o := range dsObjects {
+		for _, o := range objs {
 			m, err := inference.Adapt(o)
 			if err != nil {
 				return nil, err
@@ -213,16 +211,7 @@ func Fig11(cfg Config) (*Table, error) {
 		ssAll := ss.ForAllNN(q, ts, te)
 		ssEx := ss.ExistsNN(q, ts, te)
 
-		asMap := func(rs []query.Result) map[int]float64 {
-			m := map[int]float64{}
-			for _, r := range rs {
-				m[r.Obj] = r.Prob
-			}
-			return m
-		}
-		refAllM, refExM := asMap(refAll), asMap(refEx)
-		saAllM, saExM := asMap(saAll), asMap(saEx)
-		for oi := range dsObjects {
+		for oi := range objs {
 			if refAllM[oi] > 0.001 {
 				saAllErr = append(saAllErr, saAllM[oi]-refAllM[oi])
 				ssAllErr = append(ssAllErr, ssAll[oi]-refAllM[oi])
@@ -255,4 +244,13 @@ func Fig11(cfg Config) (*Table, error) {
 	add("SA", "P∃NN", saExErr)
 	add("SS", "P∃NN", ssExErr)
 	return t, nil
+}
+
+// probs maps each result's object ID to its probability.
+func probs(rs []shard.Result) map[int]float64 {
+	m := make(map[int]float64, len(rs))
+	for _, r := range rs {
+		m[r.ID] = r.Prob
+	}
+	return m
 }

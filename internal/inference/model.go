@@ -262,22 +262,11 @@ func (m *Model) Transition(t int) sparse.RowMap {
 	return m.f[t-m.start].toRowMap()
 }
 
-// Reverse returns R(t): the time-reversed model mapping time t to t-1
-// given past observations, as built during the forward phase. It returns
-// nil for t outside [Start+1, End]. Exposed for tests and diagnostics.
-func (m *Model) Reverse(t int) sparse.RowMap {
-	if m.r == nil || t <= m.start || t > m.end {
-		return nil
-	}
-	return m.r[t-m.start].toRowMap()
-}
-
 // ReleaseReverse frees the time-reversed matrices R(t). They are consumed
-// by the backward phase and afterwards serve only diagnostics (Reverse);
-// sampling and every query path need F(t) and the marginals alone.
-// Engines call this after building a sampler: for a fully-prepared
-// database the reverse matrices are half of the resident model size.
-// After the call, Reverse returns nil for all t.
+// by the backward phase alone; sampling and every query path need F(t)
+// and the marginals. Engines call this after building a sampler: for a
+// fully-prepared database the reverse matrices are half of the resident
+// model size.
 func (m *Model) ReleaseReverse() { m.r = nil }
 
 // ReachableAt returns the posterior support at time t in ascending order:

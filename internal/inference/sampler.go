@@ -312,15 +312,6 @@ func (s *Sampler) Sample(rng *rand.Rand) uncertain.Path {
 	return uncertain.Path{Start: m.start, States: states}
 }
 
-// SampleN draws n independent trajectories.
-func (s *Sampler) SampleN(rng *rand.Rand, n int) []uncertain.Path {
-	out := make([]uncertain.Path, n)
-	for i := range out {
-		out[i] = s.Sample(rng)
-	}
-	return out
-}
-
 // PriorSampleResult reports the outcome of rejection-based sampling on the
 // a-priori chain.
 type PriorSampleResult struct {

@@ -6,12 +6,11 @@
 // apart:
 //
 //   - SubSeed(seed, key) derives the deterministic sub-stream seed for
-//     one unit of independent work. The sharded executor keys it by
-//     object ID (which is what makes S-shard results byte-identical to
-//     1-shard results: an object's sampled trajectories depend only on
-//     the request seed and its own ID), and the single-engine sampler
-//     keys it by worker index (which is what makes parallel queries
-//     reproducible for a fixed seed and parallelism).
+//     one unit of independent work. The query executor keys it by
+//     object ID, which is what makes answers byte-identical for any
+//     worker count and S-shard results byte-identical to 1-shard
+//     results: an object's sampled trajectories depend only on the
+//     request seed and its own ID.
 //   - RNG is the generator every sub-stream runs on. It is a plain
 //     2-word value with no interface indirection, so Uint64 inlines
 //     into the sampling loop — unlike math/rand.Rand, whose Source
@@ -63,9 +62,8 @@ func Mix64(x uint64) uint64 {
 
 // SubSeed derives the seed of one deterministic sub-stream of a
 // request-level seed. key identifies the unit of independent work: the
-// object ID in the sharded scatter path (so draws are independent of
-// partition layout) and the worker index in the single-engine parallel
-// sampler (so draws are independent of scheduling). The derivation is
+// object ID on the query path, so draws are independent of partition
+// layout and scheduling. The derivation is
 // stable across processes and releases short of an explicit
 // determinism break — sampled worlds for a given (seed, key) are part
 // of the system's observable behavior.

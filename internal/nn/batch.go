@@ -9,8 +9,7 @@ import (
 
 // WorldChunk is the number of possible worlds a batch holds at once —
 // the chunking policy of every sampling kernel over WorldBatch (the
-// single-engine counter and the sharded scatter-gather executor alike):
-// large enough to amortize per-chunk bookkeeping, small enough that the
+// query executor and the benchmark's replay alike): large enough to amortize per-chunk bookkeeping, small enough that the
 // state and distance buffers stay cache-resident and the memory
 // high-water mark is independent of the sample budget.
 const WorldChunk = 256

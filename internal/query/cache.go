@@ -139,15 +139,11 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{Builds: e.cache.builds.Load(), Hits: e.cache.hits.Load()}
 }
 
-// Sampler returns the cached a-posteriori sampler for object oi, adapting
-// the model on first use. Safe for concurrent use; distinct objects adapt
-// in parallel.
-func (e *Engine) Sampler(oi int) (*inference.Sampler, error) {
-	s, _, err := e.sampler(oi)
-	return s, err
-}
-
-func (e *Engine) sampler(oi int) (*inference.Sampler, bool, error) {
+// SamplerCached returns the cached a-posteriori sampler for object oi,
+// adapting the model on first use; built reports whether this call
+// performed the adaptation (the per-query SamplerBuilds accounting).
+// Safe for concurrent use; distinct objects adapt in parallel.
+func (e *Engine) SamplerCached(oi int) (s *inference.Sampler, built bool, err error) {
 	return e.cache.get(oi, func(seed *inference.Sampler) (*inference.Sampler, error) {
 		s, err := inference.ExtendSampler(seed, e.tree.Objects()[oi], e.reach)
 		if err != nil {
@@ -155,26 +151,6 @@ func (e *Engine) sampler(oi int) (*inference.Sampler, bool, error) {
 		}
 		return s, nil
 	})
-}
-
-// buildSamplers returns the refine set (object indices), their samplers
-// (parallel slice), the time spent adapting models that were not yet
-// cached, and how many models this call actually built.
-func (e *Engine) buildSamplers(objIdx []int) ([]int, []*inference.Sampler, time.Duration, int, error) {
-	begin := time.Now()
-	samplers := make([]*inference.Sampler, len(objIdx))
-	built := 0
-	for i, oi := range objIdx {
-		s, b, err := e.sampler(oi)
-		if err != nil {
-			return nil, nil, 0, built, err
-		}
-		if b {
-			built++
-		}
-		samplers[i] = s
-	}
-	return objIdx, samplers, time.Since(begin), built, nil
 }
 
 // PrepareAll adapts every object's model up front, so that subsequent
@@ -193,7 +169,7 @@ func (e *Engine) PrepareAll() (time.Duration, error) {
 	}
 	if workers <= 1 {
 		for oi := range objs {
-			if _, err := e.Sampler(oi); err != nil {
+			if _, _, err := e.SamplerCached(oi); err != nil {
 				return 0, err
 			}
 		}
@@ -207,7 +183,7 @@ func (e *Engine) PrepareAll() (time.Duration, error) {
 		go func() {
 			defer wg.Done()
 			for oi := range jobs {
-				if _, err := e.Sampler(oi); err != nil {
+				if _, _, err := e.SamplerCached(oi); err != nil {
 					errs <- err
 					return
 				}

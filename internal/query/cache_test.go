@@ -2,7 +2,6 @@ package query
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,48 +11,6 @@ import (
 	"pnn/internal/uncertain"
 	"pnn/internal/ustree"
 )
-
-// TestSamplerCacheWarmQueryNoRebuilds is the service-layer contract: the
-// first query over a cold engine adapts every influencer's model, a
-// repeat of the same query adapts none.
-func TestSamplerCacheWarmQueryNoRebuilds(t *testing.T) {
-	sp, _, eng := lineDB(t, 500,
-		[]uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}},
-		[]uncertain.Observation{{T: 0, State: 34}, {T: 8, State: 30}},
-		[]uncertain.Observation{{T: 0, State: 26}, {T: 8, State: 28}},
-	)
-	q := StateQuery(sp.Point(31))
-	_, st1, err := eng.ForAllNN(q, 1, 7, 0, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.SamplerBuilds != st1.Influencers || st1.SamplerBuilds == 0 {
-		t.Errorf("cold query: SamplerBuilds = %d, want every influencer (%d)",
-			st1.SamplerBuilds, st1.Influencers)
-	}
-	_, st2, err := eng.ForAllNN(q, 1, 7, 0, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.SamplerBuilds != 0 {
-		t.Errorf("warm query: SamplerBuilds = %d, want 0", st2.SamplerBuilds)
-	}
-	cs := eng.CacheStats()
-	if cs.Builds != int64(st1.Influencers) {
-		t.Errorf("CacheStats.Builds = %d, want %d", cs.Builds, st1.Influencers)
-	}
-	if cs.Hits < int64(st2.Influencers) {
-		t.Errorf("CacheStats.Hits = %d, want >= %d", cs.Hits, st2.Influencers)
-	}
-	// PCNN rides the same cache.
-	_, st3, err := eng.CNN(q, 1, 7, 0.2, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.SamplerBuilds != 0 {
-		t.Errorf("warm PCNN: SamplerBuilds = %d, want 0", st3.SamplerBuilds)
-	}
-}
 
 // TestSamplerCacheSingleFlight hammers the cache from many goroutines and
 // checks that every object is adapted exactly once (the per-entry build
@@ -74,7 +31,7 @@ func TestSamplerCacheSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for oi := range obsSets {
-				if _, err := eng.Sampler(oi); err != nil {
+				if _, _, err := eng.SamplerCached(oi); err != nil {
 					t.Error(err)
 					return
 				}
@@ -125,27 +82,32 @@ func TestNewEngineFromCarriesCache(t *testing.T) {
 	eng2 := NewEngineFrom(eng, tree2, []int{1})
 
 	// Only the invalidated object re-adapts.
-	q := StateQuery(sp.Point(31))
-	_, st, err := eng2.ForAllNN(q, 1, 7, 0, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
+	built := 0
+	for oi := range objs {
+		_, b, err := eng2.SamplerCached(oi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b {
+			built++
+		}
 	}
-	if st.SamplerBuilds != 1 {
-		t.Errorf("derived engine built %d samplers, want 1 (the updated object)", st.SamplerBuilds)
+	if built != 1 {
+		t.Errorf("derived engine built %d samplers, want 1 (the updated object)", built)
 	}
 	if cs := eng2.CacheStats(); cs.Builds != 4 {
 		t.Errorf("cumulative Builds = %d, want 4 (shared across versions)", cs.Builds)
 	}
 	// The previous engine still samples the pre-update model: object 1's
 	// lifetime there ends at t=8, so a window beyond it is empty.
-	sOld, err := eng.Sampler(1)
+	sOld, _, err := eng.SamplerCached(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := sOld.SampleWindow(rand.New(rand.NewSource(4)), 10, 12); ok {
 		t.Error("old snapshot's sampler covers the post-update window")
 	}
-	sNew, err := eng2.Sampler(1)
+	sNew, _, err := eng2.SamplerCached(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +122,7 @@ func TestNewEngineFromCarriesCache(t *testing.T) {
 // failed; and nothing once the rebuild has taken it.
 func TestDeriveWithoutSeeds(t *testing.T) {
 	_, _, eng := lineDB(t, 10, []uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}})
-	done, err := eng.Sampler(0)
+	done, _, err := eng.SamplerCached(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,57 +167,6 @@ func TestDeriveWithoutSeeds(t *testing.T) {
 	}
 }
 
-// TestPrepareAllWarmsCache checks PrepareAll adapts everything (in
-// parallel) and later queries run entirely from cache with identical
-// results.
-func TestPrepareAllWarmsCache(t *testing.T) {
-	sp, _, eng := lineDB(t, 800,
-		[]uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}},
-		[]uncertain.Observation{{T: 0, State: 34}, {T: 8, State: 30}},
-		[]uncertain.Observation{{T: 0, State: 26}, {T: 8, State: 28}},
-		[]uncertain.Observation{{T: 0, State: 40}, {T: 8, State: 44}},
-	)
-	cold, stCold, err := eng.ForAllNN(StateQuery(sp.Point(31)), 1, 7, 0, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stCold.SamplerBuilds == 0 {
-		t.Fatal("cold query should have built samplers")
-	}
-
-	_, _, warmed := lineDB(t, 800,
-		[]uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}},
-		[]uncertain.Observation{{T: 0, State: 34}, {T: 8, State: 30}},
-		[]uncertain.Observation{{T: 0, State: 26}, {T: 8, State: 28}},
-		[]uncertain.Observation{{T: 0, State: 40}, {T: 8, State: 44}},
-	)
-	warmed.SetParallelism(4)
-	if _, err := warmed.PrepareAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Sampling parallelism changes how the world budget is partitioned
-	// across sub-generators; reset it so only cache warmth differs.
-	warmed.SetParallelism(1)
-	if cs := warmed.CacheStats(); cs.Builds != 4 {
-		t.Errorf("PrepareAll Builds = %d, want 4", cs.Builds)
-	}
-	warm, stWarm, err := warmed.ForAllNN(StateQuery(sp.Point(31)), 1, 7, 0, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stWarm.SamplerBuilds != 0 {
-		t.Errorf("post-PrepareAll query built %d samplers", stWarm.SamplerBuilds)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("warm results %d != cold results %d", len(warm), len(cold))
-	}
-	for i := range warm {
-		if warm[i].Obj != cold[i].Obj || math.Abs(warm[i].Prob-cold[i].Prob) > 1e-12 {
-			t.Errorf("result %d diverged: warm %+v cold %+v", i, warm[i], cold[i])
-		}
-	}
-}
-
 // TestSamplerCachePanicContained: a build that panics must not leave
 // the single-flight entry pending forever — it is demoted to a cached
 // error, and later lookups return it immediately instead of blocking.
@@ -280,5 +191,39 @@ func TestSamplerCachePanicContained(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("lookup after panicking build blocked")
+	}
+}
+
+func TestPrepareAllCaches(t *testing.T) {
+	_, _, eng := lineDB(t, 10,
+		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 30}},
+		[]uncertain.Observation{{T: 0, State: 40}, {T: 6, State: 42}},
+	)
+	d, err := eng.PrepareAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d <= 0 {
+		t.Error("PrepareAll should report positive duration")
+	}
+	s1, built, err := eng.SamplerCached(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built {
+		t.Error("PrepareAll left object 0 unbuilt")
+	}
+	s2, _, err := eng.SamplerCached(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1 != s2 {
+		t.Error("samplers must be cached")
+	}
+	if eng.SampleCount() != 10 {
+		t.Errorf("SampleCount = %d", eng.SampleCount())
+	}
+	if eng.Tree() == nil {
+		t.Error("Tree accessor")
 	}
 }

@@ -1,132 +1,76 @@
-package query
+package query_test
 
 import (
 	"math"
-	"math/rand"
+	"reflect"
 	"testing"
 
 	"pnn/internal/geo"
 	"pnn/internal/inference"
-	"pnn/internal/markov"
-	"pnn/internal/space"
+	"pnn/internal/query"
+	"pnn/internal/shard"
 	"pnn/internal/uncertain"
-	"pnn/internal/ustree"
 )
 
-// lineDB builds a database on a 60-state line with the given observation
-// sets, returning the tree and an engine.
-func lineDB(t testing.TB, samples int, obsSets ...[]uncertain.Observation) (*space.Space, *ustree.Tree, *Engine) {
-	t.Helper()
-	sp, err := space.Line(60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sp.BuildTransitionMatrix(func(i, j int) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := markov.NewHomogeneous(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var objs []*uncertain.Object
-	for id, obs := range obsSets {
-		o, err := uncertain.NewObject(id, obs, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs = append(objs, o)
-	}
-	tree, err := ustree.Build(sp, objs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sp, tree, NewEngine(tree, samples)
-}
-
-// exactFromDB converts the database objects to explicit WorldObjects via
-// their adapted models (posterior path law).
-func exactFromDB(t testing.TB, tree *ustree.Tree) []WorldObject {
-	t.Helper()
-	var out []WorldObject
-	for _, o := range tree.Objects() {
-		m, err := inference.Adapt(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wo, err := PathsOfModel(m, 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, wo)
-	}
-	return out
-}
-
 func TestEngineMatchesExact(t *testing.T) {
-	sp, tree, eng := lineDB(t, 25000,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 32}},
 		[]uncertain.Observation{{T: 0, State: 34}, {T: 6, State: 30}},
 		[]uncertain.Observation{{T: 0, State: 26}, {T: 6, State: 28}},
 	)
-	objs := exactFromDB(t, tree)
-	q := StateQuery(sp.Point(30))
+	wos := query.WorldObjectsOf(t, objs)
+	q := query.StateQuery(sp.Point(30))
 	const ts, te = 1, 5
 
-	exact, err := ExactNN(sp, objs, q, ts, te, 1<<22)
+	exact, err := query.ExactNN(sp, wos, q, ts, te, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	forall, stats, err := eng.ForAllNN(q, ts, te, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exists, _, err := eng.ExistsNN(q, ts, te, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Candidates == 0 || stats.Influencers < stats.Candidates {
-		t.Errorf("implausible stats: %+v", stats)
-	}
-	getProb := func(res []Result, oi int) float64 {
-		for _, r := range res {
-			if r.Obj == oi {
-				return r.Prob
+	var first []shard.GroupAnswer
+	for _, shards := range shardCounts {
+		snap := served(t, sp, objs, 25000, shards)
+		spec := shard.GroupSpec{Q: q, Ts: ts, Te: te, K: 1, Seed: 3}
+		ans, stats, err := snap.RunShared(spec, []shard.GroupItem{{Op: shard.OpForAll}, {Op: shard.OpExists}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Candidates == 0 || stats.Influencers < stats.Candidates {
+			t.Errorf("S=%d: implausible stats: %+v", shards, stats)
+		}
+		forall, exists := probs(ans[0].Results), probs(ans[1].Results)
+		for oi := range objs {
+			gotF, gotE := forall[oi], exists[oi]
+			if math.Abs(gotF-exact.ForAll[oi]) > 0.02 {
+				t.Errorf("S=%d object %d: MC P∀NN = %v, exact = %v", shards, oi, gotF, exact.ForAll[oi])
+			}
+			if math.Abs(gotE-exact.Exists[oi]) > 0.02 {
+				t.Errorf("S=%d object %d: MC P∃NN = %v, exact = %v", shards, oi, gotE, exact.Exists[oi])
+			}
+			if gotF > gotE+1e-9 {
+				t.Errorf("S=%d object %d: P∀NN (%v) exceeds P∃NN (%v)", shards, oi, gotF, gotE)
 			}
 		}
-		return 0
-	}
-	for oi := range objs {
-		gotF := getProb(forall, oi)
-		gotE := getProb(exists, oi)
-		if math.Abs(gotF-exact.ForAll[oi]) > 0.02 {
-			t.Errorf("object %d: MC P∀NN = %v, exact = %v", oi, gotF, exact.ForAll[oi])
-		}
-		if math.Abs(gotE-exact.Exists[oi]) > 0.02 {
-			t.Errorf("object %d: MC P∃NN = %v, exact = %v", oi, gotE, exact.Exists[oi])
-		}
-		if gotF > gotE+1e-9 {
-			t.Errorf("object %d: P∀NN (%v) exceeds P∃NN (%v)", oi, gotF, gotE)
+		if first == nil {
+			first = ans
+		} else if !reflect.DeepEqual(ans, first) {
+			t.Errorf("S=%d answers %+v differ from S=%d %+v", shards, ans, shardCounts[0], first)
 		}
 	}
 }
 
 func TestEngineTauFilter(t *testing.T) {
-	sp, _, eng := lineDB(t, 2000,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 30}},
 		[]uncertain.Observation{{T: 0, State: 34}, {T: 6, State: 34}},
 	)
-	q := StateQuery(sp.Point(30))
-	rng := rand.New(rand.NewSource(1))
-	res, _, err := eng.ForAllNN(q, 1, 5, 0.9, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := served(t, sp, objs, 2000, 1)
+	spec := shard.GroupSpec{Q: query.StateQuery(sp.Point(30)), Ts: 1, Te: 5, K: 1, Seed: 1}
+	ans, _ := mustAnswer(t, snap, spec, shard.OpForAll, 0.9)
+	res := ans.Results
 	// Object 0 hovers around state 30 and dominates; only it should pass
 	// τ=0.9.
-	if len(res) != 1 || res[0].Obj != 0 {
-		t.Errorf("ForAllNN τ=0.9 = %+v, want only object 0", res)
+	if len(res) != 1 || res[0].ID != 0 {
+		t.Fatalf("P∀NN τ=0.9 = %+v, want only object 0", res)
 	}
 	if res[0].Prob < 0.9 {
 		t.Errorf("reported prob %v below τ", res[0].Prob)
@@ -134,147 +78,168 @@ func TestEngineTauFilter(t *testing.T) {
 }
 
 func TestEngineInvertedInterval(t *testing.T) {
-	_, _, eng := lineDB(t, 100,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 30}})
-	rng := rand.New(rand.NewSource(1))
-	if _, _, err := eng.ForAllNN(StateQuery(geo.Point{}), 5, 1, 0, rng); err == nil {
+	snap := served(t, sp, objs, 100, 1)
+	spec := shard.GroupSpec{Q: query.StateQuery(geo.Point{}), Ts: 5, Te: 1, K: 1, Seed: 1}
+	if _, _, err := answer(snap, spec, shard.OpForAll, 0); err == nil {
 		t.Error("expected error for inverted interval")
 	}
-	if _, _, err := eng.CNN(StateQuery(geo.Point{}), 5, 1, 0.5, rng); err == nil {
+	if _, _, err := answer(snap, spec, shard.OpCNN, 0.5); err == nil {
 		t.Error("expected error for inverted interval")
 	}
 }
 
 func TestEngineEmptyWindow(t *testing.T) {
-	_, _, eng := lineDB(t, 100,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 30}})
-	rng := rand.New(rand.NewSource(1))
-	res, stats, err := eng.ForAllNN(StateQuery(geo.Point{}), 50, 55, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 || stats.Candidates != 0 {
-		t.Errorf("no object alive: res=%v stats=%+v", res, stats)
+	snap := served(t, sp, objs, 100, 1)
+	spec := shard.GroupSpec{Q: query.StateQuery(geo.Point{}), Ts: 50, Te: 55, K: 1, Seed: 1}
+	ans, stats := mustAnswer(t, snap, spec, shard.OpForAll, 0)
+	if len(ans.Results) != 0 || stats.Candidates != 0 {
+		t.Errorf("no object alive: res=%v stats=%+v", ans.Results, stats)
 	}
 }
 
 func TestEngineKNN(t *testing.T) {
-	sp, _, eng := lineDB(t, 4000,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 30}},
 		[]uncertain.Observation{{T: 0, State: 33}, {T: 6, State: 33}},
 		[]uncertain.Observation{{T: 0, State: 36}, {T: 6, State: 36}},
 	)
-	q := StateQuery(sp.Point(30))
-	rng := rand.New(rand.NewSource(2))
-	// k = 3 = |D|: every object alive throughout is trivially a 3-NN.
-	res, _, err := eng.ForAllKNN(q, 1, 5, 3, 0, rng)
-	if err != nil {
-		t.Fatal(err)
+	snap := served(t, sp, objs, 4000, 1)
+	knn := func(k int, op shard.GroupOp) []shard.Result {
+		t.Helper()
+		spec := shard.GroupSpec{Q: query.StateQuery(sp.Point(30)), Ts: 1, Te: 5, K: k, Seed: 2}
+		ans, _ := mustAnswer(t, snap, spec, op, 0)
+		return ans.Results
 	}
+	// k = 3 = |D|: every object alive throughout is trivially a 3-NN.
+	res := knn(3, shard.OpForAll)
 	if len(res) != 3 {
-		t.Fatalf("ForAllKNN k=3 returned %d objects, want 3", len(res))
+		t.Fatalf("P∀3NN returned %d objects, want 3", len(res))
 	}
 	for _, r := range res {
 		if math.Abs(r.Prob-1) > 1e-12 {
-			t.Errorf("object %d: P∀3NN = %v, want 1", r.Obj, r.Prob)
+			t.Errorf("object %d: P∀3NN = %v, want 1", r.ID, r.Prob)
 		}
-	}
-	// k=1 must agree with ForAllNN.
-	r1, _, err := eng.ForAllKNN(q, 1, 5, 1, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := eng.ForAllNN(q, 1, 5, 0, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) {
-		t.Errorf("k=1 (%v) vs ForAllNN (%v) result sets differ in size", r1, r2)
 	}
 	// P∀2NN >= P∀1NN for the same object.
-	p1 := map[int]float64{}
-	for _, r := range r1 {
-		p1[r.Obj] = r.Prob
+	p1 := probs(knn(1, shard.OpForAll))
+	if len(p1) == 0 {
+		t.Fatal("P∀1NN found no object")
 	}
-	rk, _, err := eng.ForAllKNN(q, 1, 5, 2, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rk := knn(2, shard.OpForAll)
 	for _, r := range rk {
-		if r.Prob < p1[r.Obj]-0.03 {
-			t.Errorf("object %d: P∀2NN (%v) < P∀1NN (%v)", r.Obj, r.Prob, p1[r.Obj])
+		if r.Prob < p1[r.ID]-0.03 {
+			t.Errorf("object %d: P∀2NN (%v) < P∀1NN (%v)", r.ID, r.Prob, p1[r.ID])
 		}
 	}
-	// ExistsKNN with k=2 should also succeed and dominate ForAllKNN.
-	re, _, err := eng.ExistsKNN(q, 1, 5, 2, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe := map[int]float64{}
-	for _, r := range re {
-		pe[r.Obj] = r.Prob
-	}
+	// P∃2NN dominates P∀2NN.
+	pe := probs(knn(2, shard.OpExists))
 	for _, r := range rk {
-		if pe[r.Obj] < r.Prob-0.03 {
-			t.Errorf("object %d: P∃2NN (%v) < P∀2NN (%v)", r.Obj, pe[r.Obj], r.Prob)
+		if pe[r.ID] < r.Prob-0.03 {
+			t.Errorf("object %d: P∃2NN (%v) < P∀2NN (%v)", r.ID, pe[r.ID], r.Prob)
 		}
 	}
 }
 
-func TestPrepareAllCaches(t *testing.T) {
-	_, _, eng := lineDB(t, 10,
-		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 30}},
-		[]uncertain.Observation{{T: 0, State: 40}, {T: 6, State: 42}},
+// TestSamplerCacheWarmQueryNoRebuilds is the service-layer contract: the
+// first query over a cold engine adapts every influencer's model, a
+// repeat of the same query adapts none.
+func TestSamplerCacheWarmQueryNoRebuilds(t *testing.T) {
+	sp, objs := query.LineObjects(t,
+		[]uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}},
+		[]uncertain.Observation{{T: 0, State: 34}, {T: 8, State: 30}},
+		[]uncertain.Observation{{T: 0, State: 26}, {T: 8, State: 28}},
 	)
-	d, err := eng.PrepareAll()
+	snap := served(t, sp, objs, 500, 1)
+	eng := snap.Parts[0].Engine
+	spec := shard.GroupSpec{Q: query.StateQuery(sp.Point(31)), Ts: 1, Te: 7, K: 1, Seed: 1}
+	_, st1 := mustAnswer(t, snap, spec, shard.OpForAll, 0)
+	if st1.SamplerBuilds != st1.Influencers || st1.SamplerBuilds == 0 {
+		t.Errorf("cold query: SamplerBuilds = %d, want every influencer (%d)",
+			st1.SamplerBuilds, st1.Influencers)
+	}
+	_, st2 := mustAnswer(t, snap, spec, shard.OpForAll, 0)
+	if st2.SamplerBuilds != 0 {
+		t.Errorf("warm query: SamplerBuilds = %d, want 0", st2.SamplerBuilds)
+	}
+	cs := eng.CacheStats()
+	if cs.Builds != int64(st1.Influencers) {
+		t.Errorf("CacheStats.Builds = %d, want %d", cs.Builds, st1.Influencers)
+	}
+	if cs.Hits < int64(st2.Influencers) {
+		t.Errorf("CacheStats.Hits = %d, want >= %d", cs.Hits, st2.Influencers)
+	}
+	// PCNN rides the same cache.
+	spec.Seed = 2
+	_, st3 := mustAnswer(t, snap, spec, shard.OpCNN, 0.2)
+	if st3.SamplerBuilds != 0 {
+		t.Errorf("warm PCNN: SamplerBuilds = %d, want 0", st3.SamplerBuilds)
+	}
+}
+
+// TestPrepareAllWarmsCache checks PrepareAll adapts everything (in
+// parallel) and later queries run entirely from cache with identical
+// results — whatever the parallelism, since every row draws from its
+// own generator.
+func TestPrepareAllWarmsCache(t *testing.T) {
+	sp, objs := query.LineObjects(t,
+		[]uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}},
+		[]uncertain.Observation{{T: 0, State: 34}, {T: 8, State: 30}},
+		[]uncertain.Observation{{T: 0, State: 26}, {T: 8, State: 28}},
+		[]uncertain.Observation{{T: 0, State: 40}, {T: 8, State: 44}},
+	)
+	spec := shard.GroupSpec{Q: query.StateQuery(sp.Point(31)), Ts: 1, Te: 7, K: 1, Seed: 9}
+	cold, stCold := mustAnswer(t, served(t, sp, objs, 800, 1), spec, shard.OpForAll, 0)
+	if stCold.SamplerBuilds == 0 {
+		t.Fatal("cold query should have built samplers")
+	}
+
+	warmed, err := shard.New(sp, objs, 800, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d <= 0 {
-		t.Error("PrepareAll should report positive duration")
-	}
-	s1, err := eng.Sampler(0)
-	if err != nil {
+	warmed.SetParallelism(4)
+	if err := warmed.PrepareAll(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := eng.Sampler(0)
-	if err != nil {
-		t.Fatal(err)
+	if cs := warmed.CacheStats(); cs.Builds != 4 {
+		t.Errorf("PrepareAll Builds = %d, want 4", cs.Builds)
 	}
-	if s1 != s2 {
-		t.Error("samplers must be cached")
+	warm, stWarm := mustAnswer(t, warmed.Snapshot(), spec, shard.OpForAll, 0)
+	if stWarm.SamplerBuilds != 0 {
+		t.Errorf("post-PrepareAll query built %d samplers", stWarm.SamplerBuilds)
 	}
-	if eng.SampleCount() != 10 {
-		t.Errorf("SampleCount = %d", eng.SampleCount())
-	}
-	if eng.Tree() == nil {
-		t.Error("Tree accessor")
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("warm answer %+v diverged from cold %+v", warm, cold)
 	}
 }
 
 func TestDominationProbMatchesEnumeration(t *testing.T) {
-	sp, tree, _ := lineDB(t, 1,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 34}},
 		[]uncertain.Observation{{T: 0, State: 33}, {T: 6, State: 29}},
 	)
-	mo, err := inference.Adapt(tree.Objects()[0])
+	mo, err := inference.Adapt(objs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := inference.Adapt(tree.Objects()[1])
+	ma, err := inference.Adapt(objs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := StateQuery(sp.Point(31))
+	q := query.StateQuery(sp.Point(31))
 	const ts, te = 1, 5
-	got, err := DominationProb(sp, mo, ma, q, ts, te)
+	got, err := query.DominationProb(sp, mo, ma, q, ts, te)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Enumerate: P(∀t: d(o) <= d(oa)).
-	objs := exactFromDB(t, tree)
+	wos := query.WorldObjectsOf(t, objs)
 	want := 0.0
-	err = EnumerateWorlds(objs, 1<<22, func(paths []uncertain.Path, p float64) {
+	err = query.EnumerateWorlds(wos, 1<<22, func(paths []uncertain.Path, p float64) {
 		for t := ts; t <= te; t++ {
 			s0, _ := paths[0].At(t)
 			s1, _ := paths[1].At(t)
@@ -291,7 +256,7 @@ func TestDominationProbMatchesEnumeration(t *testing.T) {
 		t.Errorf("DominationProb = %v, enumeration = %v", got, want)
 	}
 	// With two objects, P∀NN(o) == P(o dominates oa).
-	exact, err := ExactNN(sp, objs, q, ts, te, 1<<22)
+	exact, err := query.ExactNN(sp, wos, q, ts, te, 1<<22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,38 +266,38 @@ func TestDominationProbMatchesEnumeration(t *testing.T) {
 }
 
 func TestDominationProbSpanErrors(t *testing.T) {
-	sp, tree, _ := lineDB(t, 1,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 4, State: 32}},
 		[]uncertain.Observation{{T: 2, State: 33}, {T: 8, State: 35}},
 	)
-	mo, _ := inference.Adapt(tree.Objects()[0])
-	ma, _ := inference.Adapt(tree.Objects()[1])
-	q := StateQuery(sp.Point(31))
-	if _, err := DominationProb(sp, mo, ma, q, 0, 4); err == nil {
+	mo, _ := inference.Adapt(objs[0])
+	ma, _ := inference.Adapt(objs[1])
+	q := query.StateQuery(sp.Point(31))
+	if _, err := query.DominationProb(sp, mo, ma, q, 0, 4); err == nil {
 		t.Error("expected span error: second object starts at t=2")
 	}
-	if _, err := DominationProb(sp, ma, mo, q, 2, 6); err == nil {
+	if _, err := query.DominationProb(sp, ma, mo, q, 2, 6); err == nil {
 		t.Error("expected span error: first object ends at t=4")
 	}
 }
 
 func TestHoeffding(t *testing.T) {
-	n := RequiredSamples(0.01, 0.05)
+	n := query.RequiredSamples(0.01, 0.05)
 	if n < 10000 || n > 30000 {
 		t.Errorf("RequiredSamples(0.01, 0.05) = %d, outside plausible range", n)
 	}
-	eps := ErrorBound(n, 0.05)
+	eps := query.ErrorBound(n, 0.05)
 	if eps > 0.01+1e-9 {
 		t.Errorf("round trip ErrorBound = %v > 0.01", eps)
 	}
-	if RequiredSamples(0, 0.5) != math.MaxInt32 {
+	if query.RequiredSamples(0, 0.5) != math.MaxInt32 {
 		t.Error("eps=0 should demand unbounded samples")
 	}
-	if ErrorBound(0, 0.5) != 1 {
+	if query.ErrorBound(0, 0.5) != 1 {
 		t.Error("n=0 should return the trivial bound")
 	}
 	// More samples, tighter bound.
-	if ErrorBound(10000, 0.05) >= ErrorBound(100, 0.05) {
+	if query.ErrorBound(10000, 0.05) >= query.ErrorBound(100, 0.05) {
 		t.Error("error bound must shrink with n")
 	}
 }

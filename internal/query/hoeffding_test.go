@@ -2,9 +2,11 @@ package query
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pnn/internal/inference"
+	"pnn/internal/space"
 )
 
 // TestHoeffdingEdgeCases pins the degenerate inputs of the bound
@@ -107,19 +109,15 @@ func TestConfidenceDefaults(t *testing.T) {
 // learn the true-ish row probabilities, then picks a tau that every row
 // separates from by a wide margin — the setting where adaptive sampling
 // should stop long before the cap. It returns everything needed to
-// build fresh plans: the engine, query, adapted samplers, rows, tau.
-func adaptiveFixture(t *testing.T) (*Engine, Query, []*inference.Sampler, []int, float64) {
+// build fresh plans: the space, query, adapted samplers, rows, tau.
+func adaptiveFixture(t *testing.T) (*space.Space, Query, []*inference.Sampler, []int, float64) {
 	t.Helper()
-	eng, q, rows := planFixture(t)
-	_, smps, _, _, err := eng.buildSamplers(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp, q, smps := planFixture(t)
+	rows := []int{0, 1, 2}
 	ev := NewCountEvaluator(1, true, rows)
-	pl := eng.NewPlan(q, 1, 5, smps, 7)
-	pl.Samples = 20000
+	pl := rowPlan(sp, q, smps, 7, 20000)
 	pl.Attach(ev)
-	if _, err := eng.Execute(pl); err != nil {
+	if _, err := ExecutePlan(pl); err != nil {
 		t.Fatal(err)
 	}
 	// Midpoint between the two probability clusters; the fixture has one
@@ -131,30 +129,62 @@ func adaptiveFixture(t *testing.T) (*Engine, Query, []*inference.Sampler, []int,
 			t.Fatalf("fixture drifted: row %d has p=%v too close to tau=%v for a separation test", i, p, tau)
 		}
 	}
-	return eng, q, smps, rows, tau
+	return sp, q, smps, rows, tau
 }
 
-// TestAdaptiveBudgetSplitEarlyStop: under a confidence policy with
-// well-separated estimates the budget-split executor stops at a round
-// boundary far below the cap, reports it, and reproduces the identical
-// decision and counts when re-run.
-func TestAdaptiveBudgetSplitEarlyStop(t *testing.T) {
-	eng, q, smps, rows, tau := adaptiveFixture(t)
-	run := func(workers int) ([]int, ExecStats) {
-		ev := NewCountEvaluator(1, true, rows)
-		ev.SetBound(Confidence{Eps: 0.01, MaxSamples: 50000}, tau)
-		pl := eng.NewPlan(q, 1, 5, smps, 7)
-		pl.Samples = 50000
-		pl.Workers = workers
-		pl.Confidence = Confidence{Eps: 0.01, MaxSamples: 50000}
-		pl.Attach(ev)
-		es, err := eng.Execute(pl)
+// layouts are the worker counts and fill partitions under which a plan
+// must reach the identical stop point and counts.
+var layouts = []struct {
+	workers int
+	groups  [][]int
+}{
+	{1, nil},
+	{3, nil},
+	{1, [][]int{{0, 2}, {1}}},
+	{3, [][]int{{2}, {0}, {1}}},
+}
+
+// runLayouts executes a fresh plan from build under every layout and
+// fails unless all of them draw the same worlds, stop at the same point
+// and count the same; it returns the first layout's counts and stats.
+func runLayouts(t *testing.T, build func() (*Plan, *CountEvaluator)) ([]int, ExecStats) {
+	t.Helper()
+	var counts []int
+	var stats ExecStats
+	for i, l := range layouts {
+		pl, ev := build()
+		pl.Workers, pl.FillGroups = l.workers, l.groups
+		es, err := ExecutePlan(pl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ev.Counts(), es
+		if i == 0 {
+			counts, stats = ev.Counts(), es
+			continue
+		}
+		if es != stats || !reflect.DeepEqual(ev.Counts(), counts) {
+			t.Errorf("workers %d groups %v: %+v counts %v, want %+v counts %v",
+				l.workers, l.groups, es, ev.Counts(), stats, counts)
+		}
 	}
-	c1, es1 := run(1)
+	return counts, stats
+}
+
+// TestAdaptiveEarlyStop: under a confidence policy with well-separated
+// estimates the executor stops at a round boundary far below the cap,
+// reports it, and reproduces the identical decision and counts for any
+// worker count and fill partition.
+func TestAdaptiveEarlyStop(t *testing.T) {
+	sp, q, smps, rows, tau := adaptiveFixture(t)
+	conf := Confidence{Eps: 0.01, MaxSamples: 50000}
+	c1, es1 := runLayouts(t, func() (*Plan, *CountEvaluator) {
+		ev := NewCountEvaluator(1, true, rows)
+		ev.SetBound(conf, tau)
+		pl := rowPlan(sp, q, smps, 7, 50000)
+		pl.Confidence = conf
+		pl.Attach(ev)
+		return pl, ev
+	})
 	if !es1.EarlyStopped || es1.Worlds >= 50000 {
 		t.Fatalf("no early stop: %+v", es1)
 	}
@@ -163,16 +193,6 @@ func TestAdaptiveBudgetSplitEarlyStop(t *testing.T) {
 	}
 	if es1.ErrorBound != ErrorBound(es1.Worlds, DefaultDelta) {
 		t.Errorf("ErrorBound = %v, want %v", es1.ErrorBound, ErrorBound(es1.Worlds, DefaultDelta))
-	}
-	// Deterministic: the identical plan reproduces counts and stop point.
-	c2, es2 := run(1)
-	if es1.Worlds != es2.Worlds {
-		t.Errorf("stop point not deterministic: %d vs %d", es1.Worlds, es2.Worlds)
-	}
-	for i := range c1 {
-		if c1[i] != c2[i] {
-			t.Errorf("row %d count not deterministic: %d vs %d", i, c1[i], c2[i])
-		}
 	}
 	// Every decided estimate is separated from tau by the final bound.
 	for i, c := range c1 {
@@ -188,18 +208,16 @@ func TestAdaptiveBudgetSplitEarlyStop(t *testing.T) {
 // back to the accuracy rule and stop at the first round boundary where
 // the error bound reaches Eps.
 func TestAdaptiveAccuracyFallback(t *testing.T) {
-	eng, q, smps, rows, _ := adaptiveFixture(t)
-	ev := NewCountEvaluator(1, true, rows)
+	sp, q, smps, rows, _ := adaptiveFixture(t)
 	conf := Confidence{Eps: 0.05, MaxSamples: 50000}
-	ev.SetBound(conf, 0)
-	pl := eng.NewPlan(q, 1, 5, smps, 7)
-	pl.Samples = 50000
-	pl.Confidence = conf
-	pl.Attach(ev)
-	es, err := eng.Execute(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, es := runLayouts(t, func() (*Plan, *CountEvaluator) {
+		ev := NewCountEvaluator(1, true, rows)
+		ev.SetBound(conf, 0)
+		pl := rowPlan(sp, q, smps, 7, 50000)
+		pl.Confidence = conf
+		pl.Attach(ev)
+		return pl, ev
+	})
 	// RequiredSamples(0.05, 0.05) ≈ 738, rounded up to the 1024-world
 	// round boundary.
 	if es.Worlds != 1024 {
@@ -218,30 +236,26 @@ func TestAdaptiveAccuracyFallback(t *testing.T) {
 // bounds — early stopping trades worlds for the declared accuracy, not
 // for bias.
 func TestAdaptiveMatchesFixedWithinBound(t *testing.T) {
-	eng, q, smps, rows, tau := adaptiveFixture(t)
-	fixedEv := NewCountEvaluator(1, true, rows)
-	fp := eng.NewPlan(q, 1, 5, smps, 7)
-	fp.Samples = 40000
-	fp.Attach(fixedEv)
-	if _, err := eng.Execute(fp); err != nil {
-		t.Fatal(err)
-	}
-
-	adEv := NewCountEvaluator(1, true, rows)
+	sp, q, smps, rows, tau := adaptiveFixture(t)
+	fixed, _ := runLayouts(t, func() (*Plan, *CountEvaluator) {
+		ev := NewCountEvaluator(1, true, rows)
+		pl := rowPlan(sp, q, smps, 8, 40000)
+		pl.Attach(ev)
+		return pl, ev
+	})
 	conf := Confidence{Eps: 0.02, MaxSamples: 40000}
-	adEv.SetBound(conf, tau)
-	pl := eng.NewPlan(q, 1, 5, smps, 7)
-	pl.Samples = 40000
-	pl.Confidence = conf
-	pl.Attach(adEv)
-	es, err := eng.Execute(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adaptive, es := runLayouts(t, func() (*Plan, *CountEvaluator) {
+		ev := NewCountEvaluator(1, true, rows)
+		ev.SetBound(conf, tau)
+		pl := rowPlan(sp, q, smps, 7, 40000)
+		pl.Confidence = conf
+		pl.Attach(ev)
+		return pl, ev
+	})
 	slack := es.ErrorBound + ErrorBound(40000, DefaultDelta)
 	for i := range rows {
-		pa := float64(adEv.Counts()[i]) / float64(es.Worlds)
-		pf := float64(fixedEv.Counts()[i]) / 40000
+		pa := float64(adaptive[i]) / float64(es.Worlds)
+		pf := float64(fixed[i]) / 40000
 		if math.Abs(pa-pf) > slack {
 			t.Errorf("row %d: adaptive %v vs fixed %v differ beyond %v", i, pa, pf, slack)
 		}
@@ -251,16 +265,14 @@ func TestAdaptiveMatchesFixedWithinBound(t *testing.T) {
 // TestAdaptiveDisabledDrawsFixedBudget: the zero policy must leave the
 // executor byte-for-byte on the old fixed path.
 func TestAdaptiveDisabledDrawsFixedBudget(t *testing.T) {
-	eng, q, smps, rows, _ := adaptiveFixture(t)
-	ev := NewCountEvaluator(1, true, rows)
-	ev.SetBound(Confidence{}, 0.5)
-	pl := eng.NewPlan(q, 1, 5, smps, 7)
-	pl.Samples = 2048
-	pl.Attach(ev)
-	es, err := eng.Execute(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp, q, smps, rows, _ := adaptiveFixture(t)
+	_, es := runLayouts(t, func() (*Plan, *CountEvaluator) {
+		ev := NewCountEvaluator(1, true, rows)
+		ev.SetBound(Confidence{}, 0.5)
+		pl := rowPlan(sp, q, smps, 7, 2048)
+		pl.Attach(ev)
+		return pl, ev
+	})
 	if es.Worlds != 2048 || es.EarlyStopped {
 		t.Errorf("disabled policy: %+v, want exactly the 2048 fixed worlds", es)
 	}

@@ -1,75 +1,92 @@
-package query
+package query_test
 
 import (
 	"math"
-	"math/rand"
+	"reflect"
 	"testing"
 
 	"pnn/internal/geo"
 	"pnn/internal/inference"
+	"pnn/internal/query"
+	"pnn/internal/shard"
 	"pnn/internal/uncertain"
 )
 
 func TestCNNMatchesExact(t *testing.T) {
-	sp, tree, eng := lineDB(t, 20000,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 32}},
 		[]uncertain.Observation{{T: 0, State: 33}, {T: 6, State: 29}},
 	)
-	objs := exactFromDB(t, tree)
-	q := StateQuery(sp.Point(31))
+	wos := query.WorldObjectsOf(t, objs)
+	q := query.StateQuery(sp.Point(31))
 	const ts, te = 1, 5
 	const tau = 0.3
-	rng := rand.New(rand.NewSource(5))
-	res, stats, err := eng.CNN(q, ts, te, tau, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Worlds != 20000 {
-		t.Errorf("stats.Worlds = %d", stats.Worlds)
-	}
-	if len(res) == 0 {
-		t.Fatal("expected at least one PCNN result")
-	}
-	seen := map[int]bool{}
-	for _, r := range res {
-		seen[r.Obj] = true
-		// Reported probability must be close to the exact probability of
-		// the reported timestamp set, and at least tau.
-		exact, err := ExactForAllProb(sp, objs, q, r.Obj, r.Times, 1<<22)
-		if err != nil {
-			t.Fatal(err)
+	var first []shard.IntervalResult
+	for i, shards := range shardCounts {
+		ans, stats := mustAnswer(t, served(t, sp, objs, 20000, shards),
+			shard.GroupSpec{Q: q, Ts: ts, Te: te, K: 1, Seed: 5}, shard.OpCNN, tau)
+		res := ans.Intervals
+		if stats.Worlds != 20000 {
+			t.Errorf("S=%d: stats.Worlds = %d", shards, stats.Worlds)
 		}
-		if math.Abs(r.Prob-exact) > 0.02 {
-			t.Errorf("object %d times %v: prob %v, exact %v", r.Obj, r.Times, r.Prob, exact)
+		if len(res) == 0 {
+			t.Fatalf("S=%d: expected at least one PCNN result", shards)
 		}
-		if r.Prob < tau {
-			t.Errorf("result below tau: %+v", r)
-		}
-		// Times must be sorted, unique, within the window.
-		for i, tt := range r.Times {
-			if tt < ts || tt > te {
-				t.Errorf("time %d outside window", tt)
+		for _, r := range res {
+			// Reported probability must be close to the exact probability
+			// of the reported timestamp set, and at least tau.
+			exact, err := query.ExactForAllProb(sp, wos, q, r.ID, r.Times, 1<<22)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i > 0 && r.Times[i] <= r.Times[i-1] {
-				t.Errorf("times not strictly ascending: %v", r.Times)
+			if math.Abs(r.Prob-exact) > 0.02 {
+				t.Errorf("S=%d object %d times %v: prob %v, exact %v", shards, r.ID, r.Times, r.Prob, exact)
+			}
+			if r.Prob < tau {
+				t.Errorf("S=%d: result below tau: %+v", shards, r)
+			}
+			// Times must be sorted, unique, within the window.
+			for i, tt := range r.Times {
+				if tt < ts || tt > te {
+					t.Errorf("time %d outside window", tt)
+				}
+				if i > 0 && r.Times[i] <= r.Times[i-1] {
+					t.Errorf("times not strictly ascending: %v", r.Times)
+				}
 			}
 		}
-	}
-	// Maximality: no result of the same object may contain another.
-	for i, a := range res {
-		for j, b := range res {
-			if i != j && a.Obj == b.Obj && len(a.Times) < len(b.Times) && isSubset(a.Times, b.Times) {
-				t.Errorf("non-maximal result %v contained in %v", a.Times, b.Times)
+		// Maximality: no result of the same object may contain another.
+		for i, a := range res {
+			for j, b := range res {
+				if i != j && a.ID == b.ID && len(a.Times) < len(b.Times) && isSubset(a.Times, b.Times) {
+					t.Errorf("non-maximal result %v contained in %v", a.Times, b.Times)
+				}
 			}
+		}
+		if i == 0 {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Errorf("S=%d intervals %+v differ from S=%d %+v", shards, res, shardCounts[0], first)
 		}
 	}
 }
 
+// isSubset reports whether ascending a is a subset of ascending b.
+func isSubset(a, b []int) bool {
+	i := 0
+	for _, v := range b {
+		if i < len(a) && a[i] == v {
+			i++
+		}
+	}
+	return i == len(a)
+}
+
 func TestCNNTauValidation(t *testing.T) {
-	_, _, eng := lineDB(t, 100,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 30}})
-	rng := rand.New(rand.NewSource(1))
-	if _, _, err := eng.CNN(StateQuery(geo.Point{}), 1, 5, 0, rng); err == nil {
+	spec := shard.GroupSpec{Q: query.StateQuery(geo.Point{}), Ts: 1, Te: 5, K: 1, Seed: 1}
+	if _, _, err := answer(served(t, sp, objs, 100, 1), spec, shard.OpCNN, 0); err == nil {
 		t.Error("expected error for tau=0")
 	}
 }
@@ -77,21 +94,18 @@ func TestCNNTauValidation(t *testing.T) {
 func TestCNNHighTauPinnedObject(t *testing.T) {
 	// Object 0 sits exactly on q the whole time; with τ=0.95 it must
 	// qualify with the complete window as a single maximal set.
-	sp, _, eng := lineDB(t, 3000,
+	sp, objs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 1, State: 30}, {T: 2, State: 30},
 			{T: 3, State: 30}, {T: 4, State: 30}, {T: 5, State: 30}, {T: 6, State: 30}},
 		[]uncertain.Observation{{T: 0, State: 40}, {T: 6, State: 40}},
 	)
-	q := StateQuery(sp.Point(30))
-	rng := rand.New(rand.NewSource(8))
-	res, _, err := eng.CNN(q, 1, 5, 0.95, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := shard.GroupSpec{Q: query.StateQuery(sp.Point(30)), Ts: 1, Te: 5, K: 1, Seed: 8}
+	ans, _ := mustAnswer(t, served(t, sp, objs, 3000, 1), spec, shard.OpCNN, 0.95)
+	res := ans.Intervals
 	if len(res) != 1 {
 		t.Fatalf("results = %+v, want exactly one", res)
 	}
-	if res[0].Obj != 0 || len(res[0].Times) != 5 {
+	if res[0].ID != 0 || len(res[0].Times) != 5 {
 		t.Errorf("result = %+v, want object 0 with all 5 timestamps", res[0])
 	}
 }
@@ -99,24 +113,24 @@ func TestCNNHighTauPinnedObject(t *testing.T) {
 func TestSnapshotExactAtSingleTimestep(t *testing.T) {
 	// For |T| = 1 the snapshot estimator is exact: no temporal
 	// correlation exists to ignore.
-	sp, tree, _ := lineDB(t, 1,
+	sp, dbObjs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 6, State: 32}},
 		[]uncertain.Observation{{T: 0, State: 33}, {T: 6, State: 29}},
 	)
 	var models []*inference.Model
-	for _, o := range tree.Objects() {
+	for _, o := range dbObjs {
 		m, err := inference.Adapt(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		models = append(models, m)
 	}
-	q := StateQuery(sp.Point(31))
-	ss := NewSnapshotEstimator(sp, models)
-	objs := exactFromDB(t, tree)
+	q := query.StateQuery(sp.Point(31))
+	ss := query.NewSnapshotEstimator(sp, models)
+	objs := query.WorldObjectsOf(t, dbObjs)
 	for _, tt := range []int{1, 3, 5} {
 		got := ss.ForAllNN(q, tt, tt)
-		exact, err := ExactNN(sp, objs, q, tt, tt, 1<<22)
+		exact, err := query.ExactNN(sp, objs, q, tt, tt, 1<<22)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,20 +149,20 @@ func TestSnapshotExactAtSingleTimestep(t *testing.T) {
 }
 
 func TestSnapshotDeadObjects(t *testing.T) {
-	sp, tree, _ := lineDB(t, 1,
+	sp, dbObjs := query.LineObjects(t,
 		[]uncertain.Observation{{T: 0, State: 30}, {T: 4, State: 32}},
 		[]uncertain.Observation{{T: 6, State: 31}, {T: 10, State: 31}},
 	)
 	var models []*inference.Model
-	for _, o := range tree.Objects() {
+	for _, o := range dbObjs {
 		m, err := inference.Adapt(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		models = append(models, m)
 	}
-	ss := NewSnapshotEstimator(sp, models)
-	q := StateQuery(sp.Point(31))
+	ss := query.NewSnapshotEstimator(sp, models)
+	q := query.StateQuery(sp.Point(31))
 	// Window [1,3]: object 1 is dead, so object 0 is certain NN.
 	fa := ss.ForAllNN(q, 1, 3)
 	if math.Abs(fa[0]-1) > 1e-9 {

@@ -12,25 +12,20 @@ import (
 
 // This file is the single Monte-Carlo sampling loop of the system. Every
 // query semantics — P∀NNQ, P∃NNQ, their kNN variants, PCNNQ — and every
-// deployment shape (single engine, sharded scatter-gather, coalesced
-// batches) evaluates the same set of sampled possible worlds; what
-// differs is only which per-chunk consumers (Evaluators) are attached to
-// the Plan and how the worlds are drawn. The paper's sampling approach
-// (Section 6) makes no distinction between the semantics beyond the
-// per-world predicate, so neither does the executor.
+// deployment shape (one shard, sharded scatter-gather, a router over
+// peers, coalesced batches, standing groups) evaluates the same set of
+// sampled possible worlds; what differs is only which per-chunk
+// consumers (Evaluators) are attached to the Plan. The paper's sampling
+// approach (Section 6) makes no distinction between the semantics beyond
+// the per-world predicate, so neither does the executor.
 //
-// Two draw policies exist, both living entirely in this file:
-//
-//   - budget-split: the sample budget is divided statically across
-//     Workers; worker w draws every influencer's trajectories from the
-//     sub-stream mcrand.SubSeed(BaseSeed, w). Used by the single-engine
-//     query path. Answers depend only on (BaseSeed, Workers), never on
-//     scheduling.
-//   - per-row: every object row carries its own generator, seeded by
-//     mcrand.SubSeed(request seed, object ID) by the sharded executor.
-//     Because a row's draws depend on nothing but its own generator, the
-//     sampled worlds are byte-identical for any shard count and any
-//     FillGroups partition — the S ∈ {1,2,4} equivalence contract.
+// There is one draw policy: every object row carries its own generator,
+// seeded by mcrand.SubSeed(request seed, object ID) in the shard
+// package. Because a row's draws depend on nothing but its own
+// generator, the sampled worlds are byte-identical for any worker count,
+// shard count and FillGroups partition — the S ∈ {1,2,4} equivalence
+// contract. A router replays the state columns its peers drew from
+// those same generators (Plan.Replay), so it evaluates the same worlds.
 
 // worldChunk is the chunking policy of the executor; see nn.WorldChunk.
 const worldChunk = nn.WorldChunk
@@ -77,7 +72,7 @@ type Evaluator interface {
 // CountEvaluator counts, per target row, the worlds in which the row's
 // k-NN predicate holds: throughout the window (∀, Definition 2) or at
 // some timestep (∃, Definition 1). It is the evaluator behind
-// ForAllNN/ExistsNN and their kNN variants.
+// P∀kNNQ and P∃kNNQ.
 type CountEvaluator struct {
 	k       int
 	forall  bool
@@ -243,10 +238,11 @@ func (m *MaskEvaluator) Bound(worldsSeen int) bool {
 }
 
 // Plan is one executable Monte-Carlo sampling pass: the influencer rows
-// to sample, the query and window to evaluate against, a draw policy,
-// and any number of attached evaluators. Build one, attach evaluators,
-// and hand it to Engine.Execute; the executor draws every world chunk
-// once through the columnar kernel and feeds all evaluators.
+// to sample with their generators (or their replayed columns), the
+// query and window to evaluate against, and any number of attached
+// evaluators. Build one, attach evaluators,
+// and hand it to ExecutePlan; the executor draws every world chunk once
+// through the columnar kernel and feeds all evaluators.
 type Plan struct {
 	// Query and window. Query must be non-zero and Te >= Ts.
 	Query  Query
@@ -256,9 +252,9 @@ type Plan struct {
 	// indices in evaluators refer to positions in this slice.
 	Samplers []*inference.Sampler
 
-	// Samples is the number of worlds to draw; 0 means the executing
-	// engine's budget. Workers bounds the sampling/evaluation fan-out;
-	// 0 means the executing engine's parallelism.
+	// Samples is the number of worlds to draw (at least 1). Workers
+	// bounds the evaluation fan-out; values below 1 mean 1. Answers never
+	// depend on Workers.
 	Samples int
 	Workers int
 
@@ -282,24 +278,17 @@ type Plan struct {
 	// cap simply disable early stopping.
 	MinWorlds int
 
-	// Space is the geometry distances are computed in; nil means the
-	// executing engine's space.
+	// Space is the geometry distances are computed in; required.
 	Space *space.Space
 
-	// BaseSeed selects the budget-split draw policy (single-engine
-	// path): worker w draws from mcrand.SubSeed(BaseSeed, w). Ignored
-	// when RowRngs is set.
-	BaseSeed int64
-
-	// RowRngs selects the per-row draw policy (scatter-gather path):
-	// RowRngs[i] is row i's private generator, advanced in world order
-	// across the whole run. len(RowRngs) must equal len(Samplers).
+	// RowRngs holds the per-row generators: RowRngs[i] is row i's
+	// private generator, advanced in world order across the whole run.
+	// len(RowRngs) must equal len(Samplers).
 	RowRngs []mcrand.RNG
 
-	// Replay selects the replay draw policy (the cross-process gather
-	// path): instead of sampling, row i's state column for world w is
-	// copied from Replay[i][w*nT:(w+1)*nT] (nT = Te-Ts+1, -1 marking
-	// dead timesteps). Every Replay[i] must hold at least
+	// Replay replaces sampling on the cross-process gather path: row i's
+	// state column for world w is copied from Replay[i][w*nT:(w+1)*nT]
+	// (nT = Te-Ts+1, -1 marking dead timesteps). Every Replay[i] must hold at least
 	// Confidence.Budget(Samples) worlds. Because a row's pre-drawn
 	// columns are exactly what its private generator would have produced
 	// in world order, a replayed plan evaluates the same worlds — and
@@ -309,10 +298,10 @@ type Plan struct {
 	Replay [][]int32
 
 	// FillGroups optionally partitions rows for the parallel fill phase
-	// of the per-row policy (the sharded executor groups rows by owning
-	// shard). Each group is filled sequentially by one goroutine; the
-	// drawn worlds are identical for any partition because rows draw
-	// from private generators. nil means one group holding all rows.
+	// (the sharded executor groups rows by owning shard). Each group is
+	// filled sequentially by one goroutine; the drawn worlds are
+	// identical for any partition because rows draw from private
+	// generators. nil means one group holding all rows.
 	FillGroups [][]int
 
 	evals []Evaluator
@@ -321,14 +310,6 @@ type Plan struct {
 // Attach adds an evaluator to the plan. Every sampled world is handed
 // to every attached evaluator exactly once.
 func (p *Plan) Attach(ev Evaluator) { p.evals = append(p.evals, ev) }
-
-// NewPlan returns a budget-split plan over this engine's index: the
-// engine's sample budget and parallelism, worlds drawn from sub-streams
-// of seed. It is how the engine's own query methods construct their
-// sampling pass.
-func (e *Engine) NewPlan(q Query, ts, te int, samplers []*inference.Sampler, seed int64) *Plan {
-	return &Plan{Query: q, Ts: ts, Te: te, Samplers: samplers, BaseSeed: seed}
-}
 
 // ExecStats reports what one executed plan actually paid and
 // guarantees: the number of worlds drawn, the Hoeffding error bound
@@ -349,45 +330,15 @@ type ExecStats struct {
 	EarlyStopped bool
 }
 
-// Execute runs the plan: it draws each world chunk once through the
-// columnar kernel and feeds every attached evaluator. Engine defaults
-// fill unset plan fields (Space, Samples, Workers). Execute is the only
-// sampling loop in the system; it returns once every world has been
-// evaluated — every budgeted world, or, for a plan with an enabled
-// Confidence, every world up to the first deterministic chunk-round
-// boundary at which all attached evaluators report their answer
-// decided.
-func (e *Engine) Execute(p *Plan) (ExecStats, error) {
-	if p.Space == nil {
-		p.Space = e.tree.Space()
-	}
-	if p.Samples <= 0 {
-		p.Samples = e.samples
-	}
-	if p.Workers <= 0 {
-		p.Workers = e.Parallelism()
-	}
-	return execute(p)
-}
-
-// ExecutePlan runs a fully specified plan without an engine: Space,
-// Samples and Workers must all be set by the caller. It is the entry
-// point of deployments that evaluate worlds away from any index — the
-// cluster coordinator replays peer-drawn state columns (Plan.Replay)
-// through it, so gathered answers run the very same executor, chunking
-// and early-stop cadence as local queries.
-func ExecutePlan(p *Plan) (ExecStats, error) { return execute(p) }
-
-// rows returns the number of influencer rows of the plan under either
-// draw policy.
-func (p *Plan) rows() int {
-	if p.Replay != nil {
-		return len(p.Replay)
-	}
-	return len(p.Samplers)
-}
-
-func execute(p *Plan) (ExecStats, error) {
+// ExecutePlan runs the plan: it draws each world chunk once through the
+// columnar kernel and feeds every attached evaluator. It is the only
+// sampling loop in the system, run by one shard, by a sharded snapshot
+// and by a router replaying peer-drawn columns alike. It returns once
+// every world has been evaluated — every budgeted world, or, for a plan
+// with an enabled Confidence, every world up to the first deterministic
+// chunk-round boundary at which all attached evaluators report their
+// answer decided.
+func ExecutePlan(p *Plan) (ExecStats, error) {
 	if p.Query.Zero() {
 		return ExecStats{}, errZeroQuery
 	}
@@ -400,7 +351,7 @@ func execute(p *Plan) (ExecStats, error) {
 	if p.Samples < 1 {
 		return ExecStats{}, fmt.Errorf("query: plan needs samples >= 1, got %d", p.Samples)
 	}
-	if p.RowRngs != nil && len(p.RowRngs) != len(p.Samplers) {
+	if p.Replay == nil && len(p.RowRngs) != len(p.Samplers) {
 		return ExecStats{}, fmt.Errorf("query: plan has %d row generators for %d rows", len(p.RowRngs), len(p.Samplers))
 	}
 	if p.Replay != nil {
@@ -435,21 +386,21 @@ func execute(p *Plan) (ExecStats, error) {
 	}
 	adaptive := p.Confidence.Enabled()
 	maxN := p.Confidence.Budget(p.Samples)
-	var drawn int
-	switch {
-	case p.RowRngs != nil || p.Replay != nil:
-		drawn = executePerRow(p, maxN, adaptive)
-	case adaptive:
-		drawn = executeBudgetSplitAdaptive(p, maxN)
-	default:
-		executeBudgetSplit(p)
-		drawn = p.Samples
-	}
+	drawn := executePerRow(p, maxN, adaptive)
 	return ExecStats{
 		Worlds:       drawn,
 		ErrorBound:   ErrorBound(drawn, p.Confidence.EffDelta()),
 		EarlyStopped: adaptive && drawn < maxN,
 	}, nil
+}
+
+// rows returns the number of influencer rows of the plan: replayed
+// columns or samplers.
+func (p *Plan) rows() int {
+	if p.Replay != nil {
+		return len(p.Replay)
+	}
+	return len(p.Samplers)
 }
 
 // allDecided polls every evaluator's Bound; a plan stops early only
@@ -461,134 +412,6 @@ func allDecided(evals []Evaluator, worldsSeen int) bool {
 		}
 	}
 	return true
-}
-
-// executeBudgetSplit divides the sample budget statically across
-// min(Workers, Samples) workers; worker w draws all rows' trajectories
-// world by world from the sub-stream mcrand.SubSeed(BaseSeed, w), so
-// answers depend only on (BaseSeed, Workers) and never on scheduling.
-// Worker w's worlds occupy the contiguous global index range after
-// worker w-1's.
-func executeBudgetSplit(p *Plan) {
-	workers := p.Workers
-	if workers > p.Samples {
-		workers = p.Samples
-	}
-	for _, ev := range p.evals {
-		ev.Bind(workers)
-	}
-	if workers <= 1 {
-		rng := mcrand.New(mcrand.SubSeed(p.BaseSeed, 0))
-		budgetChunk(p, 0, 0, p.Samples, &rng)
-		return
-	}
-	per := p.Samples / workers
-	extra := p.Samples % workers
-	var wg sync.WaitGroup
-	start := 0
-	for w := 0; w < workers; w++ {
-		worlds := per
-		if w < extra {
-			worlds++
-		}
-		wg.Add(1)
-		go func(w, start, worlds int) {
-			defer wg.Done()
-			rng := mcrand.New(mcrand.SubSeed(p.BaseSeed, w))
-			budgetChunk(p, w, start, worlds, &rng)
-		}(w, start, worlds)
-		start += worlds
-	}
-	wg.Wait()
-}
-
-// executeBudgetSplitAdaptive is the confidence-adaptive variant of the
-// budget-split policy. Sampling proceeds in sequential rounds of up to
-// boundEvery*worldChunk worlds; each round is split contiguously across
-// the workers, with worker w drawing from a persistent generator on the
-// sub-stream mcrand.SubSeed(BaseSeed, w), and all evaluators' bounds
-// are polled once between rounds. Round sizes and decision points are
-// fixed by (maxN, Workers) alone, so for a given (BaseSeed, Workers,
-// Confidence) the drawn worlds and the stop point are identical no
-// matter how goroutines are scheduled. Returns the worlds drawn.
-func executeBudgetSplitAdaptive(p *Plan, maxN int) int {
-	const roundWorlds = boundEvery * worldChunk
-	workers := p.Workers
-	if workers > roundWorlds {
-		workers = roundWorlds
-	}
-	for _, ev := range p.evals {
-		ev.Bind(workers)
-	}
-	rngs := make([]mcrand.RNG, workers)
-	for w := range rngs {
-		rngs[w] = mcrand.New(mcrand.SubSeed(p.BaseSeed, w))
-	}
-	seen := 0
-	for seen < maxN {
-		round := roundWorlds
-		if left := maxN - seen; left < round {
-			round = left
-		}
-		nw := workers
-		if nw > round {
-			nw = round
-		}
-		if nw <= 1 {
-			budgetChunk(p, 0, seen, round, &rngs[0])
-		} else {
-			per := round / nw
-			extra := round % nw
-			var wg sync.WaitGroup
-			start := seen
-			for w := 0; w < nw; w++ {
-				n := per
-				if w < extra {
-					n++
-				}
-				wg.Add(1)
-				go func(w, start, n int) {
-					defer wg.Done()
-					budgetChunk(p, w, start, n, &rngs[w])
-				}(w, start, n)
-				start += n
-			}
-			wg.Wait()
-		}
-		seen += round
-		if seen >= p.MinWorlds && allDecided(p.evals, seen) {
-			break
-		}
-	}
-	return seen
-}
-
-// budgetChunk draws `worlds` possible worlds in columnar chunks from
-// rng (rows filled in row-major order within each chunk — the draw
-// order the determinism contract fixes) and feeds them to every
-// evaluator under the given worker id, with global world indices
-// starting at `start`.
-func budgetChunk(p *Plan, worker, start, worlds int, rng *mcrand.RNG) {
-	b := batchPool.Get().(*nn.WorldBatch)
-	defer batchPool.Put(b)
-	for w0 := 0; w0 < worlds; w0 += worldChunk {
-		cn := worldChunk
-		if left := worlds - w0; left < cn {
-			cn = left
-		}
-		b.Reset(len(p.Samplers), cn, p.Ts, p.Te)
-		for li, s := range p.Samplers {
-			for w := 0; w < cn; w++ {
-				s.SampleWindowInto(rng, p.Ts, p.Te, b.States(li, w))
-			}
-		}
-		b.ComputeDistances(p.Space, p.Query.At)
-		for w := 0; w < cn; w++ {
-			for _, ev := range p.evals {
-				ev.World(worker, start+w0+w, b, w)
-			}
-		}
-	}
 }
 
 // executePerRow samples every world through one shared batch per chunk,

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 
-	"pnn/internal/inference"
 	"pnn/internal/ustree"
 )
 
@@ -28,12 +27,4 @@ func (e *Engine) PruneWindow(q Query, ts, te, k int) (ustree.Pruning, error) {
 		return e.timePrune(ts, te), nil
 	}
 	return e.tree.PruneK(q.At, ts, te, k), nil
-}
-
-// SamplerCached returns the cached a-posteriori sampler for object oi,
-// adapting the model on first use; built reports whether this call
-// performed the adaptation (the per-query SamplerBuilds accounting).
-// Safe for concurrent use; distinct objects adapt in parallel.
-func (e *Engine) SamplerCached(oi int) (s *inference.Sampler, built bool, err error) {
-	return e.sampler(oi)
 }

@@ -31,11 +31,8 @@ type GatherRow struct {
 // coordinator builds one from peer scatter responses exactly like
 // RunSharedInfluence builds one from its in-process shards.
 type GatherInput struct {
-	// Engine, when set, executes the plan (local path: engine defaults
-	// fill Space). When nil, Space must be set and the plan runs through
-	// query.ExecutePlan.
-	Engine *query.Engine
-	Space  *space.Space
+	// Space is the geometry distances are computed in.
+	Space *space.Space
 
 	// Samples is the fixed per-query world budget; Workers the
 	// evaluation fan-out (answers never depend on it).
@@ -230,6 +227,7 @@ func (g *gather) execute(evs []query.Evaluator) error {
 		Confidence: g.spec.Conf,
 		MinWorlds:  g.spec.MinWorlds,
 		FillGroups: in.FillGroups,
+		Space:      in.Space,
 	}
 	if len(in.Rows) > 0 && in.Rows[0].States != nil {
 		cols := make([][]int32, len(in.Rows))
@@ -256,14 +254,7 @@ func (g *gather) execute(evs []query.Evaluator) error {
 	for _, ev := range evs {
 		pl.Attach(ev)
 	}
-	var es query.ExecStats
-	var err error
-	if in.Engine != nil {
-		es, err = in.Engine.Execute(pl)
-	} else {
-		pl.Space = in.Space
-		es, err = query.ExecutePlan(pl)
-	}
+	es, err := query.ExecutePlan(pl)
 	if err != nil {
 		return err
 	}

@@ -298,7 +298,7 @@ func (s *Snap) RunSharedInfluence(spec GroupSpec, items []GroupItem, prev *Carry
 		return answers, st, influenceOf(rows, x.pruneDist), next, nil
 	}
 	answers, st, inf, err := Gather(spec, items, GatherInput{
-		Engine:     s.Parts[0].Engine,
+		Space:      s.Parts[0].Engine.Tree().Space(),
 		Samples:    x.samples,
 		Workers:    x.workers,
 		Rows:       rows,
@@ -320,16 +320,16 @@ func (s *Snap) RunSharedInfluence(spec GroupSpec, items []GroupItem, prev *Carry
 // neighbors of q at every t in the interval is at least tau, sorted by
 // object ID.
 func (s *Snap) ForAllKNN(q query.Query, ts, te, k int, tau float64, seed int64) ([]Result, query.Stats, error) {
-	return s.nnQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, GroupItem{Op: OpForAll, Tau: tau})
+	return s.countQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, GroupItem{Op: OpForAll, Tau: tau})
 }
 
 // ExistsKNN answers P∃kNNQ(q, D, [ts..te], tau) over the composite
 // snapshot.
 func (s *Snap) ExistsKNN(q query.Query, ts, te, k int, tau float64, seed int64) ([]Result, query.Stats, error) {
-	return s.nnQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, GroupItem{Op: OpExists, Tau: tau})
+	return s.countQuery(GroupSpec{Q: q, Ts: ts, Te: te, K: k, Seed: seed}, GroupItem{Op: OpExists, Tau: tau})
 }
 
-func (s *Snap) nnQuery(spec GroupSpec, item GroupItem) ([]Result, query.Stats, error) {
+func (s *Snap) countQuery(spec GroupSpec, item GroupItem) ([]Result, query.Stats, error) {
 	ans, st, err := s.RunShared(spec, []GroupItem{item})
 	if err != nil {
 		return nil, st, err

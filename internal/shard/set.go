@@ -233,9 +233,10 @@ func (s *Set) ShardFor(id int) int { return shardOf(id, len(s.shards)) }
 // snapshot.
 func (s *Set) NumObjects() int { return s.cur.Load().NumObjects() }
 
-// SetParallelism sets the per-query sampling parallelism on every
-// shard's engine (and every engine derived from them by later writes).
-// The gather-phase world evaluation uses the same setting.
+// SetParallelism sets the engine parallelism on every shard (and every
+// engine derived from them by later writes): the worker count of
+// PrepareAll and of the gather-phase world evaluation. Answers never
+// depend on it.
 func (s *Set) SetParallelism(workers int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

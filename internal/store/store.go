@@ -159,8 +159,9 @@ func (s *Store) Version() int64 { return s.cur.Load().Version }
 // NumObjects returns the object count of the current snapshot.
 func (s *Store) NumObjects() int { return len(s.cur.Load().IDs) }
 
-// SetParallelism sets the per-query sampling parallelism on the current
-// engine and every engine derived from it by later writes.
+// SetParallelism sets the engine parallelism (see
+// query.Engine.SetParallelism) on the current engine and every engine
+// derived from it by later writes.
 func (s *Store) SetParallelism(workers int) {
 	// Under mu no swap can race us, so the setting cannot land on a
 	// snapshot that is being replaced (derived engines copy it).

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"pnn/internal/markov"
+	"pnn/internal/mcrand"
 	"pnn/internal/query"
 	"pnn/internal/space"
 	"pnn/internal/uncertain"
@@ -52,13 +52,50 @@ func lineStore(t testing.TB, samples int) (*space.Space, markov.Chain, *Store) {
 	return sp, c, s
 }
 
-func forAll(t testing.TB, sp *space.Space, snap *Snapshot, state, ts, te int) []query.Result {
+// result is one P∀NN answer: an engine index and its probability.
+type result struct {
+	Obj  int
+	Prob float64
+}
+
+// forAll answers P∀NN at τ = 0.5 from one snapshot's engine, each
+// influencer drawing from its own (seed, object ID) generator as the
+// shard executor seeds it.
+func forAll(t testing.TB, sp *space.Space, snap *Snapshot, state, ts, te int) []result {
 	t.Helper()
-	res, _, err := snap.Engine.ForAllNN(query.StateQuery(sp.Point(state)), ts, te, 0.5, rand.New(rand.NewSource(7)))
+	q := query.StateQuery(sp.Point(state))
+	pr, err := snap.Engine.PruneWindow(q, ts, te, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	pl := &query.Plan{Query: q, Ts: ts, Te: te, Space: sp, Samples: snap.Engine.SampleCount()}
+	row := make(map[int]int, len(pr.Influencers))
+	for i, oi := range pr.Influencers {
+		smp, _, err := snap.Engine.SamplerCached(oi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row[oi] = i
+		pl.Samplers = append(pl.Samplers, smp)
+		pl.RowRngs = append(pl.RowRngs, mcrand.New(mcrand.SubSeed(7, snap.IDs[oi])))
+	}
+	targets := make([]int, len(pr.Candidates))
+	for ci, oi := range pr.Candidates {
+		targets[ci] = row[oi]
+	}
+	ev := query.NewCountEvaluator(1, true, targets)
+	pl.Attach(ev)
+	es, err := query.ExecutePlan(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []result
+	for ci, n := range ev.Counts() {
+		if p := float64(n) / float64(es.Worlds); p >= 0.5 {
+			out = append(out, result{Obj: pr.Candidates[ci], Prob: p})
+		}
+	}
+	return out
 }
 
 // TestObserveSnapshotIsolation is the RCU contract for observation

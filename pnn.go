@@ -527,7 +527,7 @@ func (p *Processor) SampleTrajectory(objectID int, seed int64) ([]int, error) {
 	if !ok {
 		return nil, fmt.Errorf("pnn: unknown object id %d", objectID)
 	}
-	s, err := snap.Parts[si].Engine.Sampler(oi)
+	s, _, err := snap.Parts[si].Engine.SamplerCached(oi)
 	if err != nil {
 		return nil, err
 	}
