@@ -19,6 +19,7 @@ import (
 	"pnn/internal/exp"
 	"pnn/internal/inference"
 	"pnn/internal/markov"
+	"pnn/internal/mcrand"
 	"pnn/internal/query"
 	"pnn/internal/shard"
 	"pnn/internal/space"
@@ -388,9 +389,10 @@ func BenchmarkAblationWindowSampling(b *testing.B) {
 		}
 	})
 	b.Run("window-10", func(b *testing.B) {
+		wrng, dst := mcrand.New(5), make([]int32, 10)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok := s.SampleWindow(rng, 45, 54); !ok {
+			if !s.SampleWindowInto(&wrng, 45, 54, dst) {
 				b.Fatal("window must intersect lifetime")
 			}
 		}

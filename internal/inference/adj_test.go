@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"pnn/internal/mcrand"
 	"pnn/internal/uncertain"
 )
 
@@ -249,26 +250,33 @@ func TestSampleWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSampler(m)
-	rng := rand.New(rand.NewSource(2))
+	rng := mcrand.New(2)
 
 	// Window fully inside the lifetime.
-	p, ok := s.SampleWindow(rng, 14, 18)
-	if !ok || p.Start != 14 || len(p.States) != 5 {
-		t.Fatalf("window sample = %+v, %v", p, ok)
+	dst := make([]int32, 5)
+	if !s.SampleWindowInto(&rng, 14, 18, dst) || slices.Contains(dst, -1) {
+		t.Fatalf("window sample = %v", dst)
 	}
-	// Window clamped at both ends.
-	p, ok = s.SampleWindow(rng, 0, 99)
-	if !ok || p.Start != 10 || p.End() != 30 {
-		t.Fatalf("clamped sample spans [%d, %d]", p.Start, p.End())
+	// Window clamped at both ends: dead outside [10, 30], and the part
+	// inside is a trajectory through every observation.
+	dst = make([]int32, 100)
+	if !s.SampleWindowInto(&rng, 0, 99, dst) {
+		t.Fatal("window covering the lifetime must sample")
 	}
-	if !p.HitsObservations(o) {
+	for tt, v := range dst {
+		if alive := tt >= 10 && tt <= 30; alive != (v >= 0) {
+			t.Fatalf("clamped sample: t=%d holds %d", tt, v)
+		}
+	}
+	if p := (uncertain.Path{Start: 10, States: dst[10:31]}); !p.HitsObservations(o) {
 		t.Error("full-window sample must hit observations")
 	}
-	// Disjoint window.
-	if _, ok := s.SampleWindow(rng, 40, 50); ok {
+	// Disjoint windows.
+	dst = make([]int32, 11)
+	if s.SampleWindowInto(&rng, 40, 50, dst) {
 		t.Error("disjoint window should report !ok")
 	}
-	if _, ok := s.SampleWindow(rng, 0, 5); ok {
+	if s.SampleWindowInto(&rng, 0, 5, dst[:6]) {
 		t.Error("window before lifetime should report !ok")
 	}
 }
@@ -285,21 +293,20 @@ func TestSampleWindowDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSampler(m)
-	rng := rand.New(rand.NewSource(3))
+	rng := mcrand.New(3)
 	const n = 40000
 	const ws, we = 2, 4
 	counts := map[int]map[int]float64{}
 	for tt := ws; tt <= we; tt++ {
 		counts[tt] = map[int]float64{}
 	}
+	dst := make([]int32, we-ws+1)
 	for i := 0; i < n; i++ {
-		p, ok := s.SampleWindow(rng, ws, we)
-		if !ok {
+		if !s.SampleWindowInto(&rng, ws, we, dst) {
 			t.Fatal("window must intersect")
 		}
 		for tt := ws; tt <= we; tt++ {
-			st, _ := p.At(tt)
-			counts[tt][st] += 1.0 / n
+			counts[tt][int(dst[tt-ws])] += 1.0 / n
 		}
 	}
 	for tt := ws; tt <= we; tt++ {

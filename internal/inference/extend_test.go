@@ -1,8 +1,11 @@
 package inference
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"pnn/internal/markov"
@@ -41,17 +44,35 @@ func fullSampler(t testing.TB, o *uncertain.Object) *Sampler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSampler(m)
-	m.ReleaseReverse()
-	return s
+	return NewSampler(m)
+}
+
+// sameTables reports where the draw tables of two samplers differ ("" if
+// nowhere): their lifetimes, every gap's tables, and the rows at which
+// walks enter the gaps.
+func sameTables(got, want *Sampler) string {
+	switch {
+	case got.start != want.start || got.end != want.end:
+		return fmt.Sprintf("lifetime [%d, %d], want [%d, %d]", got.start, got.end, want.start, want.end)
+	case len(got.gaps) != len(want.gaps):
+		return fmt.Sprintf("%d gaps, want %d", len(got.gaps), len(want.gaps))
+	case !slices.Equal(got.enter, want.enter):
+		return fmt.Sprintf("entry rows %v, want %v", got.enter, want.enter)
+	}
+	for g := range got.gaps {
+		if !reflect.DeepEqual(got.gaps[g], want.gaps[g]) {
+			return fmt.Sprintf("the tables of gap %d", g)
+		}
+	}
+	return ""
 }
 
 // TestExtendSamplerMatchesFullBuild is the model half of "a write costs
 // the gap it adds": whatever observations an earlier version lacked — the
 // last (an append), a middle one (a late observation splitting a gap),
 // the first (a prepend), the last two, or all but one — extending its
-// sampler yields, element for element, the sampler a full build of the
-// new version yields. Both sweeps restart from an exact unit vector at
+// sampler yields, table for table, the sampler a full build of the new
+// version yields. Both sweeps restart from an exact unit vector at
 // each observation, so a gap's matrices never see another gap.
 func TestExtendSamplerMatchesFullBuild(t *testing.T) {
 	sp, err := space.Synthetic(600, 8, rand.New(rand.NewSource(77)))
@@ -101,17 +122,21 @@ func TestExtendSamplerMatchesFullBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d, prev without %s: %v", seed, name, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d: extending the sampler without the %s observation differs from the full build", seed, name)
+			if diff := sameTables(got, want); diff != "" {
+				t.Errorf("seed %d: extending the sampler without the %s observation differs from the full build in %s", seed, name, diff)
 			}
 			// The seed was only read: it still equals its own full build.
-			if !reflect.DeepEqual(prev, fullSampler(t, prevObj)) {
-				t.Errorf("seed %d: extension modified its seed (prev without %s)", seed, name)
+			if diff := sameTables(prev, fullSampler(t, prevObj)); diff != "" {
+				t.Errorf("seed %d: extension modified its seed (prev without %s) in %s", seed, name, diff)
 			}
 		}
 		// Extending from nothing is the full build.
-		if got, err := ExtendSampler(nil, upd, nil); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: ExtendSampler(nil) differs from the full build (err %v)", seed, err)
+		got, err := ExtendSampler(nil, upd, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if diff := sameTables(got, want); diff != "" {
+			t.Errorf("seed %d: ExtendSampler(nil) differs from the full build in %s", seed, diff)
 		}
 	}
 }
@@ -139,15 +164,95 @@ func TestExtendSamplerContradiction(t *testing.T) {
 	if _, err := ExtendSampler(prev, bad, nil); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("ExtendSampler error = %v, want %v", err, wantErr)
 	}
-	if !reflect.DeepEqual(prev, fullSampler(t, prevObj)) {
-		t.Fatal("failed extension modified its seed")
+	if diff := sameTables(prev, fullSampler(t, prevObj)); diff != "" {
+		t.Fatalf("failed extension modified its seed in %s", diff)
 	}
 	rng, dst := mcrand.New(3), make([]int32, 21)
 	if !prev.SampleWindowInto(&rng, 0, 20, dst) || dst[0] != 50 || dst[10] != 55 || dst[20] != 52 {
 		t.Fatalf("seed sampler unusable after failed extension: %v", dst)
 	}
 	good := plus(uncertain.Observation{T: 22, State: 53})
-	if got, err := ExtendSampler(prev, good, nil); err != nil || !reflect.DeepEqual(got, fullSampler(t, good)) {
-		t.Fatalf("seed does not extend after a failed extension (err %v)", err)
+	got, err := ExtendSampler(prev, good, nil)
+	if err != nil {
+		t.Fatalf("seed does not extend after a failed extension: %v", err)
+	}
+	if diff := sameTables(got, fullSampler(t, good)); diff != "" {
+		t.Fatalf("extension after a failed one differs from the full build in %s", diff)
+	}
+}
+
+// TestExtendSamplerDrawsMatchFullBuild is the draw half of the property:
+// an object grows one observation at a time in random order — appends,
+// prepends and gap splits mixed — and every sampler of the ExtendSampler
+// chain draws, over random windows and seeds, exactly the columns the
+// full build of its version draws. Once the chain is complete, every
+// earlier sampler still draws what it drew before.
+func TestExtendSamplerDrawsMatchFullBuild(t *testing.T) {
+	sp, err := space.Synthetic(600, 8, rand.New(rand.NewSource(78)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := markov.NewHomogeneous(sp.TransitionMatrix(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := func(s *Sampler, ts, te int, seed int64) []int32 {
+		rng, dst := mcrand.New(seed), make([]int32, te-ts+1)
+		out := make([]int32, 0, 4*len(dst))
+		for k := 0; k < 4; k++ {
+			s.SampleWindowInto(&rng, ts, te, dst)
+			out = append(out, dst...)
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		obs := walkObservations(chain, sp.Len(), 5+rng.Intn(5), rng)
+		lo, hi := obs[0].T, obs[len(obs)-1].T
+		type window struct {
+			ts, te int
+			seed   int64
+		}
+		windows := make([]window, 30)
+		for i := range windows {
+			ts := lo - 3 + rng.Intn(hi-lo+7)
+			windows[i] = window{ts, ts + rng.Intn(hi-lo+4), rng.Int63()}
+		}
+		var (
+			have     []uncertain.Observation
+			samplers []*Sampler
+			drawn    [][][]int32
+			prev     *Sampler
+		)
+		for _, k := range rng.Perm(len(obs)) {
+			have = append(have, obs[k])
+			sort.Slice(have, func(i, j int) bool { return have[i].T < have[j].T })
+			o, err := uncertain.NewObject(1, slices.Clone(have), chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, err = ExtendSampler(prev, o, nil); err != nil {
+				t.Fatalf("seed %d, %d observations: %v", seed, len(have), err)
+			}
+			full := fullSampler(t, o)
+			var cols [][]int32
+			for _, w := range windows {
+				got, want := draw(prev, w.ts, w.te, w.seed), draw(full, w.ts, w.te, w.seed)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d, %d observations, window [%d, %d]: extended sampler draws %v, full build %v",
+						seed, len(have), w.ts, w.te, got, want)
+				}
+				cols = append(cols, got)
+			}
+			samplers = append(samplers, prev)
+			drawn = append(drawn, cols)
+		}
+		for v, s := range samplers {
+			for i, w := range windows {
+				if got := draw(s, w.ts, w.te, w.seed); !slices.Equal(got, drawn[v][i]) {
+					t.Fatalf("seed %d: version %d draws differently once later versions extended it", seed, v)
+				}
+			}
+		}
 	}
 }

@@ -513,11 +513,11 @@ func TestModelNarrowing(t *testing.T) {
 	}
 	no := NewNoObservationModel(o)
 	for tt := 0; tt <= 6; tt++ {
-		if len(m.ReachableAt(tt)) > len(no.Marginal(tt)) {
+		if len(m.Posterior(tt)) > len(no.Marginal(tt)) {
 			t.Errorf("t=%d: FB support larger than prior support", tt)
 		}
 	}
-	if got := m.ReachableAt(6); len(got) != 1 || got[0] != 44 {
+	if got := m.Posterior(6).Support(); len(got) != 1 || got[0] != 44 {
 		t.Errorf("support at final obs = %v", got)
 	}
 }

@@ -40,35 +40,41 @@ import (
 // databases into spurious "contradicting observation" errors.
 const pruneEps = 1e-300
 
-// Model is the a-posteriori motion model of one object produced by Adapt.
-// All slices are indexed by t - Start().
+// Model is the a-posteriori motion model of one object produced by Adapt:
+// Algorithm 2's output, observation gap by observation gap.
 type Model struct {
 	obj *uncertain.Object
 
 	start, end int
 
-	// r[t-start] holds R(t): row i is the distribution over predecessor
-	// states at t-1 given being at state i at time t (and past
-	// observations). r[0] is nil (no predecessor of the first timestep).
-	r []*adj
+	// gaps[g] is the model over the gap between observations g and g+1.
+	gaps []gapModel
+}
 
-	// f[t-start] holds F(t): row i is the adapted distribution over
-	// successor states at t+1 given being at state i at t (and all
-	// observations). f[end-start] is nil.
+// gapModel is Algorithm 2's output over one observation gap, between
+// observations a and b; index i stands for time a.T+i. Observations are
+// exact, so both sweeps restart from a unit vector at each one, and a
+// gap's model is a function of its two observations and the chain alone.
+type gapModel struct {
+	// f[i] holds F(a.T+i): row j is the adapted distribution over
+	// successor states at a.T+i+1 given being at state j at a.T+i (and
+	// all observations). Every row of the last one leads to b.
 	f []*adj
 
-	// fwd[t-start] is the forward-filtered marginal P(o(t) | past obs),
-	// with observations at <= t incorporated. Kept for the Figure 12
-	// ablation ("F" curve).
-	fwd []sparse.Vec
+	// post[i] is the posterior marginal P(o(a.T+i) | all obs).
+	post []svec
 
-	// post[t-start] is the posterior marginal P(o(t) | all obs).
-	post []sparse.Vec
+	// fwd[i] is the forward-filtered marginal P(o(a.T+i+1) | past obs),
+	// with observations at <= a.T+i+1 incorporated. Kept for the Figure
+	// 12 ablation ("F" curve).
+	fwd []svec
 }
 
 // Adapt runs Algorithm 2 on object o. It returns an error if consecutive
 // observations contradict the chain (no possible trajectory connects them),
-// which subsumes the non-contradiction precondition of the paper.
+// which subsumes the non-contradiction precondition of the paper, or if a
+// state has more adapted successors than a draw table row holds
+// (maxRowWidth).
 //
 // Complexity is O(Σ_t nnz(t)) where nnz(t) is the number of transitions
 // leaving the reachable state set at time t — the sparse specialization of
@@ -81,73 +87,48 @@ func Adapt(o *uncertain.Object) (*Model, error) {
 // chain transposes used for diamond computation are shared across the
 // objects of one database.
 func AdaptShared(o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
-	return adaptFrom(noSampler.model, o, reach)
-}
-
-// adaptFrom is AdaptShared given the model of an earlier version of o
-// (noSampler's: none). Observations are exact, so Algorithm 2 restarts
-// from a unit vector at each one in both directions and factorises by
-// observation gap: every gap prev has already adapted (Object.SameGaps)
-// is taken from it, bit for bit what adapting it again would produce, and
-// only the others are swept. The reverse matrices of the gaps taken stay
-// behind; see ExtendSampler.
-func adaptFrom(prev *Model, o *uncertain.Object, reach *uncertain.Reach) (*Model, error) {
 	if reach == nil {
 		reach = uncertain.NewReach()
 	}
-	start, end := o.First().T, o.Last().T
-	n := end - start + 1
-	m := &Model{
-		obj:   o,
-		start: start,
-		end:   end,
-		r:     make([]*adj, n),
-		f:     make([]*adj, n),
-		fwd:   make([]sparse.Vec, n),
-		post:  make([]sparse.Vec, n),
-	}
-	// The two marginals no gap owns: a gap fills fwd over (a.T, b.T] and
-	// post over [a.T, b.T).
-	m.fwd[0] = unitSvec(int32(o.First().State)).toVec()
-	m.post[n-1] = unitSvec(int32(o.Last().State)).toVec()
+	m := &Model{obj: o, start: o.First().T, end: o.Last().T, gaps: make([]gapModel, len(o.Obs)-1)}
 	bld := builders.Get().(*adjBuilder)
 	defer builders.Put(bld)
-	for g, pg := range o.SameGaps(prev.obj) {
-		if pg < 0 {
-			if err := m.adaptGap(g, reach, bld); err != nil {
-				return nil, err
-			}
-			continue
+	for g := range m.gaps {
+		var err error
+		if m.gaps[g], err = adaptGap(o, g, reach, bld); err != nil {
+			return nil, err
 		}
-		lo, hi := o.Obs[g].T-start, o.Obs[g+1].T-start
-		shift := start - prev.start
-		copy(m.f[lo:hi], prev.f[lo+shift:hi+shift])
-		copy(m.post[lo:hi], prev.post[lo+shift:hi+shift])
-		copy(m.fwd[lo+1:hi+1], prev.fwd[lo+1+shift:hi+1+shift])
 	}
 	return m, nil
 }
 
-// adaptGap runs Algorithm 2 over observation gap g of the model's object,
-// between observations a and b: the forward phase from a over (a.T, b.T],
-// filling r and fwd, then the backward phase from b over [a.T, b.T),
-// filling f and post. The forward sweep restricts every distribution to
-// the gap's reachability diamond (forward ∩ backward support): states
-// outside it have zero posterior probability by construction, and carrying
-// them (the full forward cone) would make memory explode for objects with
-// long observation gaps and strong idle bias. The sweep's own support
-// never leaves the forward cone, so restricting it to the backward cone
-// alone (Reach.Backward) restricts it to the diamond.
-func (m *Model) adaptGap(g int, reach *uncertain.Reach, bld *adjBuilder) error {
-	o, start := m.obj, m.start
+// adaptGap runs Algorithm 2 over observation gap g of o, between
+// observations a and b: the forward phase from a over (a.T, b.T],
+// computing R and fwd, then the backward phase from b over [a.T, b.T),
+// computing F and post. The reverse matrices R are consumed by the
+// backward phase alone and do not outlive the call. The forward sweep
+// restricts every distribution to the gap's reachability diamond
+// (forward ∩ backward support): states outside it have zero posterior
+// probability by construction, and carrying them (the full forward cone)
+// would make memory explode for objects with long observation gaps and
+// strong idle bias. The sweep's own support never leaves the forward
+// cone, so restricting it to the backward cone alone (Reach.Backward)
+// restricts it to the diamond.
+func adaptGap(o *uncertain.Object, g int, reach *uncertain.Reach, bld *adjBuilder) (gapModel, error) {
 	a, b := o.Obs[g], o.Obs[g+1]
+	n := b.T - a.T
 	// cone[k] is the set of states at a.T+k that can still reach b.
 	// Computing it errors out on contradicting observations before any
 	// heavy work happens.
 	cone, err := reach.Backward(o, g)
 	if err != nil {
-		return fmt.Errorf("inference: %w", err)
+		return gapModel{}, fmt.Errorf("inference: %w", err)
 	}
+	gm := gapModel{f: make([]*adj, n), post: make([]svec, n), fwd: make([]svec, n)}
+	// r[k] holds R(a.T+k): row i is the distribution over predecessor
+	// states at a.T+k-1 given being at state i at a.T+k (and past
+	// observations). r[0] is nil (the sweep starts at a).
+	r := make([]*adj, n+1)
 
 	// Forward phase (Algorithm 2, lines 2-10).
 	s := unitSvec(int32(a.State))
@@ -176,19 +157,19 @@ func (m *Model) adaptGap(g int, reach *uncertain.Reach, bld *adjBuilder) error {
 			// Incorporate the observation (line 8) after checking it is
 			// consistent with the propagated support.
 			if ns.find(int32(b.State)) <= 0 {
-				return fmt.Errorf(
+				return gapModel{}, fmt.Errorf(
 					"inference: object %d observation at t=%d (state %d) contradicts the chain",
 					o.ID, t, b.State)
 			}
 			s = unitSvec(int32(b.State))
 		} else {
 			if !ns.normalizePruned(pruneEps) {
-				return fmt.Errorf("inference: object %d has no reachable states at t=%d", o.ID, t)
+				return gapModel{}, fmt.Errorf("inference: object %d has no reachable states at t=%d", o.ID, t)
 			}
 			s = ns
 		}
-		m.r[t-start] = rt
-		m.fwd[t-start] = s.toVec()
+		r[t-a.T] = rt
+		gm.fwd[t-a.T-1] = s
 	}
 
 	// Backward phase (lines 12-16), from the exact unit vector of b,
@@ -198,7 +179,7 @@ func (m *Model) adaptGap(g int, reach *uncertain.Reach, bld *adjBuilder) error {
 	// observations whatever that product rounds to.
 	cur := s
 	for t := b.T - 1; t >= a.T; t-- {
-		rt := m.r[t+1-start]
+		rt := r[t+1-a.T]
 		// X'(t) = R(t+1)ᵀ · diag(s(t+1)): X'[j][i] = R(t+1)[i][j]·s(t+1)[i]
 		// (line 13).
 		tris = tris[:0]
@@ -212,13 +193,27 @@ func (m *Model) adaptGap(g int, reach *uncertain.Reach, bld *adjBuilder) error {
 			}
 		}
 		ft, ns := bld.build(tris)
+		for row := range ft.src {
+			if w := ft.off[row+1] - ft.off[row]; w > maxRowWidth {
+				return gapModel{}, fmt.Errorf(
+					"inference: object %d state %d at t=%d has %d adapted successors, more than a draw table row holds (%d)",
+					o.ID, ft.src[row], t, w, maxRowWidth)
+			}
+		}
 		ns.normalizePruned(pruneEps)
-		m.f[t-start] = ft
-		m.post[t-start] = ns.toVec()
+		gm.f[t-a.T] = ft
+		gm.post[t-a.T] = ns
 		cur = ns
 	}
 	bld.tris = tris
-	return nil
+	return gm, nil
+}
+
+// at locates time t ∈ [Start, End): the gap model holding it and t's
+// index there.
+func (m *Model) at(t int) (*gapModel, int) {
+	g := gapAt(m.obj.Obs, t)
+	return &m.gaps[g], t - m.obj.Obs[g].T
 }
 
 // Object returns the object this model was adapted for.
@@ -232,50 +227,57 @@ func (m *Model) Start() int { return m.start }
 func (m *Model) End() int { return m.end }
 
 // Posterior returns P(o(t) = · | Θ), the state distribution at time t given
-// all observations. It returns nil outside [Start, End]. The returned
-// vector is shared and must not be modified.
+// all observations. It returns nil outside [Start, End]. Each call builds
+// a fresh vector.
 func (m *Model) Posterior(t int) sparse.Vec {
-	if t < m.start || t > m.end {
+	switch {
+	case t < m.start || t > m.end:
 		return nil
+	case t == m.end:
+		return unitSvec(int32(m.obj.Last().State)).toVec()
 	}
-	return m.post[t-m.start]
+	gm, i := m.at(t)
+	return gm.post[i].toVec()
 }
 
 // Forward returns the forward-filtered marginal P(o(t) = · | observations
 // at times <= t) — the paper's "F" ablation model. It returns nil outside
-// [Start, End].
+// [Start, End]. Each call builds a fresh vector.
 func (m *Model) Forward(t int) sparse.Vec {
-	if t < m.start || t > m.end {
+	switch {
+	case t < m.start || t > m.end:
 		return nil
+	case t == m.start:
+		return unitSvec(int32(m.obj.First().State)).toVec()
 	}
-	return m.fwd[t-m.start]
+	gm, i := m.at(t - 1)
+	return gm.fwd[i].toVec()
 }
 
 // Transition returns F(t): the adapted transition model from time t to
 // t+1. Row i is the successor distribution given o(t) = s_i. It returns
 // nil for t outside [Start, End-1]. The map representation is built on
-// demand; hot paths (the Sampler) read the flat storage directly.
+// demand; hot paths (the Sampler) read tables built from the flat
+// storage.
 func (m *Model) Transition(t int) sparse.RowMap {
 	if t < m.start || t >= m.end {
 		return nil
 	}
-	return m.f[t-m.start].toRowMap()
+	gm, i := m.at(t)
+	return gm.f[i].toRowMap()
 }
 
-// ReleaseReverse frees the time-reversed matrices R(t). They are consumed
-// by the backward phase alone; sampling and every query path need F(t)
-// and the marginals. Engines call this after building a sampler: for a
-// fully-prepared database the reverse matrices are half of the resident
-// model size.
-func (m *Model) ReleaseReverse() { m.r = nil }
-
-// ReachableAt returns the posterior support at time t in ascending order:
-// the states the object can occupy at t with non-zero probability given all
-// observations (one time slice of the paper's diamonds, Figure 4 right).
-func (m *Model) ReachableAt(t int) []int {
-	p := m.Posterior(t)
-	if p == nil {
-		return nil
+// gapAt returns the gap holding time t ∈ [obs[0].T, obs[len(obs)-1].T):
+// the last g with obs[g].T <= t.
+func gapAt(obs []uncertain.Observation, t int) int {
+	lo, hi := 0, len(obs)-2
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if obs[mid].T <= t {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
 	}
-	return p.Support()
+	return lo
 }

@@ -2,14 +2,16 @@ package inference
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"pnn/internal/mcrand"
 	"pnn/internal/uncertain"
 )
 
 // TestSamplerConcurrentUse enforces the sharing contract the query service
-// is built on: one Sampler, many goroutines, each with its OWN *rand.Rand
+// is built on: one Sampler, many goroutines, each with its OWN generator
 // — no data races (run under -race) and every drawn path is valid. The
 // Sampler itself is read-only after NewSampler; the rng is the only
 // mutable state, which is why it must not be shared.
@@ -28,15 +30,16 @@ func TestSamplerConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
+			rng, mrng := rand.New(rand.NewSource(int64(w))), mcrand.New(int64(w))
+			dst := make([]int32, 7)
 			for i := 0; i < 200; i++ {
 				p := s.Sample(rng)
 				if !p.HitsObservations(o) {
 					t.Errorf("worker %d: sample misses an observation", w)
 					return
 				}
-				if wp, ok := s.SampleWindow(rng, 3, 9); !ok || len(wp.States) != 7 {
-					t.Errorf("worker %d: bad window sample %v %v", w, wp, ok)
+				if !s.SampleWindowInto(&mrng, 3, 9, dst) || dst[3] != 24 || slices.Contains(dst, -1) {
+					t.Errorf("worker %d: bad window sample %v", w, dst)
 					return
 				}
 			}

@@ -1,18 +1,20 @@
 package inference
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"pnn/internal/markov"
 	"pnn/internal/mcrand"
+	"pnn/internal/space"
 	"pnn/internal/sparse"
 	"pnn/internal/uncertain"
 )
 
 // windowSampler adapts a line object alive over [2, 10] with a middle
 // observation, the fixture of the window edge-case tests.
-func windowSampler(t *testing.T) (*Sampler, *uncertain.Object) {
+func windowSampler(t *testing.T) (*Sampler, *Model) {
 	t.Helper()
 	o := lineObject(t, 15, 1, []uncertain.Observation{
 		{T: 2, State: 7}, {T: 6, State: 9}, {T: 10, State: 5},
@@ -21,35 +23,18 @@ func windowSampler(t *testing.T) (*Sampler, *uncertain.Object) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSampler(m), o
-}
-
-func TestSampleWindowSingleInstant(t *testing.T) {
-	s, _ := windowSampler(t)
-	rng := rand.New(rand.NewSource(3))
-	for _, ts := range []int{2, 5, 10} {
-		p, ok := s.SampleWindow(rng, ts, ts)
-		if !ok {
-			t.Fatalf("ts == te == %d inside the lifetime must sample", ts)
-		}
-		if p.Start != ts || len(p.States) != 1 {
-			t.Fatalf("ts == te == %d: got Start=%d, %d states", ts, p.Start, len(p.States))
-		}
-		if post := s.Model().Posterior(ts); post[int(p.States[0])] <= 0 {
-			t.Fatalf("t=%d: sampled state %d has zero posterior mass", ts, p.States[0])
-		}
-	}
+	return NewSampler(m), m
 }
 
 func TestSampleWindowIntoSingleInstant(t *testing.T) {
-	s, _ := windowSampler(t)
+	s, m := windowSampler(t)
 	rng := mcrand.New(3)
 	dst := make([]int32, 1)
-	for _, ts := range []int{2, 6, 10} {
+	for _, ts := range []int{2, 5, 6, 9, 10} {
 		if !s.SampleWindowInto(&rng, ts, ts, dst) {
 			t.Fatalf("ts == te == %d inside the lifetime must sample", ts)
 		}
-		if post := s.Model().Posterior(ts); post[int(dst[0])] <= 0 {
+		if post := m.Posterior(ts); post[int(dst[0])] <= 0 {
 			t.Fatalf("t=%d: sampled state %d has zero posterior mass", ts, dst[0])
 		}
 	}
@@ -59,17 +44,39 @@ func TestSampleWindowIntoSingleInstant(t *testing.T) {
 	}
 }
 
-func TestSampleWindowOutsideLifetime(t *testing.T) {
-	s, _ := windowSampler(t)
-	rng := rand.New(rand.NewSource(5))
-	for _, w := range [][2]int{{0, 1}, {11, 20}, {-5, -1}} {
-		if _, ok := s.SampleWindow(rng, w[0], w[1]); ok {
-			t.Errorf("window [%d, %d] outside lifetime [2, 10] must not sample", w[0], w[1])
+// TestSampleWindowSingleInstant checks that a one-instant window is
+// drawn from the entry distribution alone: at an observed instant the
+// state is forced, elsewhere the draws realize the posterior marginal.
+func TestSampleWindowSingleInstant(t *testing.T) {
+	s, m := windowSampler(t)
+	rng := mcrand.New(3)
+	dst := make([]int32, 1)
+	for _, obs := range [][2]int{{2, 7}, {10, 5}} {
+		if !s.SampleWindowInto(&rng, obs[0], obs[0], dst) || dst[0] != int32(obs[1]) {
+			t.Fatalf("window at observation t=%d: got state %d, want %d", obs[0], dst[0], obs[1])
 		}
 	}
+	const n = 20000
+	for _, ts := range []int{3, 5, 8} {
+		counts := sparse.NewVec()
+		for i := 0; i < n; i++ {
+			if !s.SampleWindowInto(&rng, ts, ts, dst) {
+				t.Fatalf("ts == te == %d inside the lifetime must sample", ts)
+			}
+			counts.Add(int(dst[0]), 1.0/n)
+		}
+		if !counts.Equal(m.Posterior(ts), 0.015) {
+			t.Errorf("t=%d: empirical %v vs posterior %v", ts, counts, m.Posterior(ts))
+		}
+	}
+}
+
+func TestSampleWindowOutsideLifetime(t *testing.T) {
+	s, _ := windowSampler(t)
 	mrng := mcrand.New(5)
 	dst := make([]int32, 8)
-	for _, w := range [][2]int{{11, 18}, {-6, 1}} {
+	for _, w := range [][2]int{{11, 18}, {-6, 1}, {0, 1}, {-5, -1}} {
+		dst := dst[:w[1]-w[0]+1]
 		for i := range dst {
 			dst[i] = 99 // poison: Into must overwrite every slot
 		}
@@ -85,7 +92,8 @@ func TestSampleWindowOutsideLifetime(t *testing.T) {
 }
 
 func TestSampleWindowIntoClipsToLifetime(t *testing.T) {
-	s, o := windowSampler(t)
+	s, m := windowSampler(t)
+	o := m.Object()
 	rng := mcrand.New(11)
 	const ts, te = 0, 13
 	dst := make([]int32, te-ts+1)
@@ -104,7 +112,7 @@ func TestSampleWindowIntoClipsToLifetime(t *testing.T) {
 			if v < 0 {
 				t.Fatalf("t=%d inside lifetime: dead slot", tt)
 			}
-			if post := s.Model().Posterior(tt); post[int(v)] <= 0 {
+			if post := m.Posterior(tt); post[int(v)] <= 0 {
 				t.Fatalf("t=%d: state %d has zero posterior mass", tt, v)
 			}
 		}
@@ -122,7 +130,7 @@ func TestSampleWindowIntoClipsToLifetime(t *testing.T) {
 // posterior marginals, i.e. the columnar path is statistically
 // equivalent to the cumulative one.
 func TestSampleWindowIntoMatchesPosterior(t *testing.T) {
-	s, _ := windowSampler(t)
+	s, m := windowSampler(t)
 	rng := mcrand.New(17)
 	const ts, te = 3, 9
 	const n = 60000
@@ -140,8 +148,8 @@ func TestSampleWindowIntoMatchesPosterior(t *testing.T) {
 		}
 	}
 	for tt := ts; tt <= te; tt++ {
-		if !counts[tt-ts].Equal(s.Model().Posterior(tt), 0.01) {
-			t.Errorf("t=%d: empirical %v vs posterior %v", tt, counts[tt-ts], s.Model().Posterior(tt))
+		if !counts[tt-ts].Equal(m.Posterior(tt), 0.01) {
+			t.Errorf("t=%d: empirical %v vs posterior %v", tt, counts[tt-ts], m.Posterior(tt))
 		}
 	}
 }
@@ -177,9 +185,6 @@ func TestSamplerSingleObservationModel(t *testing.T) {
 	if p := s.Sample(rng); p.Start != 3 || len(p.States) != 1 || p.States[0] != 2 {
 		t.Errorf("Sample = %+v, want the single observed instant", p)
 	}
-	if p, ok := s.SampleWindow(rng, 0, 10); !ok || len(p.States) != 1 || p.States[0] != 2 {
-		t.Errorf("SampleWindow = %+v, %v", p, ok)
-	}
 	mrng := mcrand.New(1)
 	dst := []int32{99, 99, 99}
 	if !s.SampleWindowInto(&mrng, 2, 4, dst) {
@@ -190,41 +195,44 @@ func TestSamplerSingleObservationModel(t *testing.T) {
 	}
 }
 
-// TestCumDistDrawClamp exercises the floating-point-overshoot clamp of
-// the cumulative entry draw: a u at or beyond the final cumulative
-// value — possible when fraction×total rounds up — must clamp to the
-// last slot instead of indexing one past the end, mirroring the
-// long-standing transition-step clamp.
-func TestCumDistDrawClamp(t *testing.T) {
-	cd := cumDist{
-		states: []int32{4, 7, 9},
-		rowOf:  []int32{0, 1, 2},
-		cum:    []float64{0.25, 0.5, 0.999999999999}, // FP shortfall: mass ~1 but < 1
+// TestSamplerDrawsPinned pins drawn states, not just their law: the
+// windows and the lifetime path below are what an object of a 600-state
+// synthetic network draws from fixed generators. A change to the draw
+// tables' layout or to the walk must keep every one of them, since
+// served answers are functions of these states.
+func TestSamplerDrawsPinned(t *testing.T) {
+	sp, err := space.Synthetic(600, 8, rand.New(rand.NewSource(77)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	last := cd.cum[len(cd.cum)-1]
-	for _, u := range []float64{
-		last,                    // exactly the final cumulative value
-		math.Nextafter(last, 2), // one ulp beyond it
-		last * (1 + 1e-12),      // relative overshoot
-		1.0,                     // the "true" total the row should have had
+	chain, err := markov.NewHomogeneous(sp.TransitionMatrix(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := walkObservations(chain, sp.Len(), 5, rand.New(rand.NewSource(5)))
+	o, err := uncertain.NewObject(1, obs, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fullSampler(t, o)
+	rng := mcrand.New(42)
+	for _, w := range []struct {
+		ts, te int
+		want   []int32
+	}{
+		{-2, 3, []int32{-1, -1, 426, 175, 426, 366}},
+		{1, 15, []int32{129, 463, 366, 463, 254, 324, 236, 326, 451, 236, 463, 570, 463, 366, -1}},
+		{10, 16, []int32{129, 463, 570, 463, 366, -1, -1}},
+		{7, 7, []int32{451}},
 	} {
-		if k := cd.drawAt(u); k != len(cd.cum)-1 {
-			t.Errorf("drawAt(%v) = slot %d, want clamp to last slot %d", u, k, len(cd.cum)-1)
+		dst := make([]int32, w.te-w.ts+1)
+		s.SampleWindowInto(&rng, w.ts, w.te, dst)
+		if !slices.Equal(dst, w.want) {
+			t.Errorf("window [%d, %d] drew %v, want %v", w.ts, w.te, dst, w.want)
 		}
 	}
-	// Sanity: interior draws are unaffected by the clamp.
-	if k := cd.drawAt(0); k != 0 {
-		t.Errorf("drawAt(0) = %d, want 0", k)
-	}
-	if k := cd.drawAt(0.3); k != 1 {
-		t.Errorf("drawAt(0.3) = %d, want 1", k)
-	}
-	// And the rand.Rand entry path composes draw over drawAt without
-	// ever leaving the support.
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		if k := cd.draw(rng); k < 0 || k >= len(cd.states) {
-			t.Fatalf("draw returned out-of-range slot %d", k)
-		}
+	want := []int32{426, 380, 175, 366, 129, 366, 326, 477, 326, 451, 463, 254, 570, 463, 366}
+	if p := s.Sample(rand.New(rand.NewSource(42))); !slices.Equal(p.States, want) {
+		t.Errorf("Sample drew %v, want %v", p.States, want)
 	}
 }

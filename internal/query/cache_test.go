@@ -2,12 +2,12 @@ package query
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"pnn/internal/inference"
+	"pnn/internal/mcrand"
 	"pnn/internal/uncertain"
 	"pnn/internal/ustree"
 )
@@ -104,14 +104,15 @@ func TestNewEngineFromCarriesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sOld.SampleWindow(rand.New(rand.NewSource(4)), 10, 12); ok {
+	rng, dst := mcrand.New(4), make([]int32, 3)
+	if sOld.SampleWindowInto(&rng, 10, 12, dst) {
 		t.Error("old snapshot's sampler covers the post-update window")
 	}
 	sNew, _, err := eng2.SamplerCached(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sNew.SampleWindow(rand.New(rand.NewSource(4)), 10, 12); !ok {
+	if !sNew.SampleWindowInto(&rng, 10, 12, dst) {
 		t.Error("new snapshot's sampler misses the appended observation window")
 	}
 }

@@ -58,7 +58,7 @@ func newCarry(spec GroupSpec, items []GroupItem, x *exec) *Carry {
 	}
 	for i, e := range x.entries {
 		c.ids[i] = e.id
-		c.objs[i] = e.smp.Model().Object()
+		c.objs[i] = e.smp.Object()
 	}
 	return c
 }
