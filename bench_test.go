@@ -405,19 +405,17 @@ func BenchmarkAblationWindowSampling(b *testing.B) {
 // re-evaluations it triggers, so ns/op is the end-to-end per-update
 // cost, evals/write counts evaluation passes (the fanout scoreboard —
 // full per-sub fan-out would be 1000 per op) and ms/write restates
-// ns/op in milliseconds for the benchdiff gate. Three populations:
+// ns/op in milliseconds for the benchdiff gate. Two populations:
 //
 //   - spread: 1000 distinct query shapes — every touched subscription
-//     pays its own pass, grouping cannot help.
+//     is a group of one and pays its own pass.
 //   - mix: the same 1000 subscriptions folded onto 10 shapes (100
-//     members each, differing only in tau) with grouping on — each
-//     touched shape pays ONE shared-world pass.
-//   - mix-ungrouped: the mix population with grouping disabled — the
-//     per-sub baseline the mix savings are measured against.
+//     members each, differing only in tau) — each touched shape pays
+//     ONE shared-world pass.
 func BenchmarkSubscriptionFanout(b *testing.B) {
 	const nShapes = 10
 	b.Run("spread", func(b *testing.B) {
-		fanoutBench(b, true, func(net *Network, i int) Request {
+		fanoutBench(b, func(net *Network, i int) Request {
 			return Request{
 				Semantics: Exists, Query: AtState(net, RandomQueryState(net, int64(i))),
 				Ts: 40, Te: 47, Tau: 0.3, Seed: int64(i),
@@ -431,17 +429,14 @@ func BenchmarkSubscriptionFanout(b *testing.B) {
 			Ts: 40, Te: 47, Tau: 0.1 + float64(i/nShapes)*0.008, Seed: int64(shape),
 		}
 	}
-	b.Run("mix", func(b *testing.B) { fanoutBench(b, true, mixReq) })
-	b.Run("mix-ungrouped", func(b *testing.B) { fanoutBench(b, false, mixReq) })
+	b.Run("mix", func(b *testing.B) { fanoutBench(b, mixReq) })
 }
 
 // fanoutBench is the shared harness of BenchmarkSubscriptionFanout:
 // build, subscribe 1000 standing queries from reqAt, then measure
 // Observe + drain per op. The sweep interval is zero so ms/write
-// measures evaluation cost, not the configurable batching delay —
-// grouping still applies because each write dirties all its touched
-// subscriptions before the immediate sweep drains them.
-func fanoutBench(b *testing.B, grouping bool, reqAt func(net *Network, i int) Request) {
+// measures evaluation cost, not the configurable batching delay.
+func fanoutBench(b *testing.B, reqAt func(net *Network, i int) Request) {
 	net, db, err := SyntheticDataset(2500, 8, 600, 100, 100, 5, 7)
 	if err != nil {
 		b.Fatal(err)
@@ -454,7 +449,6 @@ func fanoutBench(b *testing.B, grouping bool, reqAt func(net *Network, i int) Re
 		b.Fatal(err)
 	}
 	proc.SetSweepInterval(0)
-	proc.SetSubscriptionGrouping(grouping)
 	const nSubs = 1000
 	for i := 0; i < nSubs; i++ {
 		if _, err := proc.Subscribe(reqAt(net, i), Delivery{QueueCap: 2}); err != nil {
@@ -478,7 +472,7 @@ func fanoutBench(b *testing.B, grouping bool, reqAt func(net *Network, i int) Re
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Staying put is always chain-consistent; the influence sweep
-		// still runs against every registered subscription.
+		// still runs against every registered group.
 		if _, err := proc.Observe(moverID, Observation{T: 41 + i, State: RandomQueryState(net, 0)}); err != nil {
 			b.Fatal(err)
 		}

@@ -111,7 +111,6 @@ func main() {
 		hedge    = flag.Duration("hedge", 0, "router: straggler delay before the one hedged retry (0: peer-timeout/4)")
 		probeIv  = flag.Duration("probe-interval", 2*time.Second, "router: peer health probe period")
 		bootTO   = flag.Duration("bootstrap-timeout", time.Minute, "router: how long to wait for all peers at startup")
-		aliases  = flag.Bool("legacy-aliases", false, "re-enable the deprecated flat QuerySpec alias fields (decoded with warnings) instead of rejecting them with code use_query_spec")
 	)
 	flag.Parse()
 
@@ -167,7 +166,7 @@ func main() {
 	scfg := server.Config{
 		BatchWorkers: *workers, Ingest: *ingest, ShareBatch: *share,
 		MaxSamplesCap: *capSamp, MaxSubscriptions: *maxSubs,
-		LegacyAliases: *aliases, Role: *role,
+		Role: *role,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

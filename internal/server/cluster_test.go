@@ -65,6 +65,8 @@ type clusterRig struct {
 	router *httptest.Server
 	coord  *cluster.Coordinator
 	peers  map[string]*httptest.Server
+	// touches counts the /internal/touch requests the peers served.
+	touches *atomic.Int64
 }
 
 func newClusterRig(t *testing.T, workers int) *clusterRig {
@@ -90,6 +92,7 @@ func newClusterRig(t *testing.T, workers int) *clusterRig {
 	// shape, comparing answers modulo the layout diagnostics.
 	peers := make(map[string]*httptest.Server, len(clusterPeerNames))
 	cpeers := make([]cluster.Peer, 0, len(clusterPeerNames))
+	touches := new(atomic.Int64)
 	for i, name := range clusterPeerNames {
 		shard := i
 		pdb := clusterDB(t, net, func(id int) bool { return proc.ShardSet().ShardFor(id) == shard })
@@ -100,7 +103,13 @@ func newClusterRig(t *testing.T, workers int) *clusterRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts := httptest.NewServer(New(net, pproc, Config{Role: RolePeer}))
+		peer := New(net, pproc, Config{Role: RolePeer})
+		pts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/internal/touch" {
+				touches.Add(1)
+			}
+			peer.ServeHTTP(w, r)
+		}))
 		t.Cleanup(pts.Close)
 		peers[name] = pts
 		cpeers = append(cpeers, cluster.Peer{Name: name, URL: pts.URL})
@@ -120,7 +129,7 @@ func newClusterRig(t *testing.T, workers int) *clusterRig {
 	t.Cleanup(coord.CloseSubscriptions)
 	router := httptest.NewServer(New(net, coord, Config{BatchWorkers: 2, Ingest: true, Role: RoleRouter}))
 	t.Cleanup(router.Close)
-	return &clusterRig{net: net, proc: proc, single: single, router: router, coord: coord, peers: peers}
+	return &clusterRig{net: net, proc: proc, single: single, router: router, coord: coord, peers: peers, touches: touches}
 }
 
 // TestClusterWorldFloorEveryPath sends one confidence request with a
@@ -529,6 +538,41 @@ func TestClusterSubscription(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("re-evaluated answer misses the written object: %+v", next.Response.Results)
+	}
+}
+
+// TestClusterTouchPerGroup pins the router's write-path cost: standing
+// queries in G compatibility groups of m members each cost one
+// /internal/touch RPC per group on a routed write, not one per member.
+func TestClusterTouchPerGroup(t *testing.T) {
+	rig := newClusterRig(t, 2)
+	center := rig.net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
+	const groups, members = 3, 4
+	for g := 0; g < groups; g++ {
+		for m := 0; m < members; m++ {
+			// Members of a group differ only in tau; groups in seed.
+			code, raw := post(t, rig.router.URL+"/v1/subscribe", fmt.Sprintf(
+				`{"semantics": "exists", "query": {"state": %d}, "window": {"ts": 1, "te": 6},
+				  "tau": %g, "seed": %d, "delivery": {"transport": "poll"}}`, center, 0.05*float64(m+1), 20+g))
+			if code != http.StatusOK {
+				t.Fatalf("subscribe through router = %d (%s)", code, raw)
+			}
+		}
+	}
+	if !rig.coord.WaitSubscriptionsIdle(10 * time.Second) {
+		t.Fatal("initial passes did not quiesce")
+	}
+	// A new object: no group indexes it, so every group runs its touch
+	// test, and only that.
+	before := rig.touches.Load()
+	code, raw := post(t, rig.router.URL+"/v1/objects", fmt.Sprintf(
+		`{"id": 301, "observations": [{"t": 0, "state": %d}, {"t": 8, "state": %d}]}`, center, center))
+	if code != http.StatusOK {
+		t.Fatalf("routed write = %d (%s)", code, raw)
+	}
+	if got := rig.touches.Load() - before; got == 0 || got > groups {
+		t.Errorf("routed write made %d /internal/touch requests for %d groups of %d members, want 1..%d",
+			got, groups, members, groups)
 	}
 }
 

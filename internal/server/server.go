@@ -43,13 +43,9 @@
 //
 // The reference is exactly one of "state", "point" or "trajectory";
 // "confidence" is optional and switches the query from the fixed sample
-// budget to adaptive early-stopping sampling. Legacy flat spellings
-// (top-level "state", "x"/"y", "trajectory", "ts", "te") keep decoding
-// as aliases of the nested fields on the one-shot endpoints, but they
-// are deprecated: every response that served an alias carries a
-// "Deprecation: true" header and a "warnings" array naming the fields.
-// /v1/subscribe accepts only the canonical nested spelling and rejects
-// aliases outright with code "use_query_spec".
+// budget to adaptive early-stopping sampling. The legacy flat spellings
+// (top-level "state", "x"/"y", "trajectory", "ts", "te") are rejected
+// on every endpoint with code "use_query_spec".
 //
 // # Errors
 //
@@ -147,12 +143,6 @@ type Config struct {
 	// MaxSubscriptions caps the number of concurrently registered
 	// standing queries; 0 means 10000. /healthz advertises the cap.
 	MaxSubscriptions int
-	// LegacyAliases re-enables the pre-v1.1 flat QuerySpec alias fields
-	// (top-level state/x/y/trajectory/ts/te) on the one-shot and batch
-	// endpoints, decoding them with deprecation warnings as before. By
-	// default requests using them are rejected with code
-	// "use_query_spec", matching what /v1/subscribe has always done.
-	LegacyAliases bool
 	// Role names this node's place in a cluster: RoleStandalone (or
 	// empty), RoleRouter, or RolePeer. RolePeer additionally registers
 	// the /internal RPC surface — only meaningful when the backend is a
@@ -350,8 +340,9 @@ type QuerySpec struct {
 	Seed       int64           `json:"seed,omitempty"`
 	Confidence *ConfidenceJSON `json:"confidence,omitempty"`
 
-	// Legacy aliases of the nested fields, kept so pre-v1.1 clients stay
-	// unbroken.
+	// Legacy aliases of the nested fields, decoded only so that a request
+	// spelling them is refused with code use_query_spec instead of a
+	// generic unknown-field error.
 	State      *int        `json:"state,omitempty"`
 	X          *float64    `json:"x,omitempty"`
 	Y          *float64    `json:"y,omitempty"`
@@ -412,11 +403,7 @@ type QueryResponse struct {
 	Stats      StatsJSON      `json:"stats"`
 	Sampling   SamplingJSON   `json:"sampling"`
 	Version    VersionJSON    `json:"version"`
-	// Warnings flags deprecated request constructs the server still
-	// honored — today, the legacy flat alias fields. Responses carrying
-	// warnings also set the "Deprecation: true" header.
-	Warnings []string   `json:"warnings,omitempty"`
-	Error    *ErrorBody `json:"error,omitempty"` // batch items only
+	Error      *ErrorBody     `json:"error,omitempty"` // batch items only
 }
 
 // BatchRequest is the body of /v1/batch.
@@ -724,7 +711,7 @@ func (s *Server) queryHandler(sem pnn.Semantics) http.HandlerFunc {
 			writeErr(w, http.StatusBadRequest, CodeInvalidBody, "", err)
 			return
 		}
-		pr, warnings, aerr := s.toRequest(sem, req)
+		pr, aerr := s.toRequest(sem, req)
 		if aerr != nil {
 			httpError(w, http.StatusBadRequest, aerr.code, aerr.field, aerr.msg)
 			return
@@ -740,12 +727,7 @@ func (s *Server) queryHandler(sem pnn.Semantics) http.HandlerFunc {
 			writeErr(w, status, code, "", resp.Err)
 			return
 		}
-		out := toJSON(resp)
-		out.Warnings = warnings
-		if len(warnings) > 0 {
-			w.Header().Set("Deprecation", "true")
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, toJSON(resp))
 	}
 }
 
@@ -769,10 +751,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqs := make([]pnn.Request, len(req.Requests))
-	warnings := make([][]string, len(req.Requests))
-	deprecated := false
 	for i, item := range req.Requests {
-		pr, warns, aerr := s.toRequest(pnn.Semantics(item.Semantics), item.QuerySpec)
+		pr, aerr := s.toRequest(pnn.Semantics(item.Semantics), item.QuerySpec)
 		if aerr != nil {
 			field := fmt.Sprintf("requests[%d]", i)
 			if aerr.field != "" {
@@ -782,8 +762,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		reqs[i] = pr
-		warnings[i] = warns
-		deprecated = deprecated || len(warns) > 0
 	}
 	share := s.cfg.ShareBatch
 	if req.ShareWorlds != nil {
@@ -806,13 +784,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, resp := range responses {
 		out.Responses[i] = toJSON(resp)
-		out.Responses[i].Warnings = warnings[i]
 		if resp.Version.Max >= out.Version.Max {
 			out.Version = VersionJSON{Vector: resp.Version.Vector, Max: resp.Version.Max}
 		}
-	}
-	if deprecated {
-		w.Header().Set("Deprecation", "true")
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -827,9 +801,9 @@ func errf(code, field, format string, args ...interface{}) *apiError {
 	return &apiError{code: code, field: field, msg: fmt.Sprintf(format, args...)}
 }
 
-// legacyAliases names the deprecated flat alias fields a QuerySpec set,
-// each paired with its canonical replacement — the source of both the
-// one-shot deprecation warnings and the /v1/subscribe rejection.
+// legacyAliases names the retired flat alias fields a QuerySpec set,
+// each paired with its canonical replacement, for the use_query_spec
+// rejection.
 func legacyAliases(req QuerySpec) []string {
 	var used []string
 	add := func(set bool, alias, canonical string) {
@@ -847,40 +821,22 @@ func legacyAliases(req QuerySpec) []string {
 }
 
 // toRequest validates one wire request and converts it to a batch
-// Request, resolving the legacy alias spellings against the canonical
-// nested fields (canonical wins where both are set). The returned
-// warnings name every deprecated alias the request used.
-func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, []string, *apiError) {
-	warnings := legacyAliases(req)
-	if len(warnings) > 0 && !s.cfg.LegacyAliases {
-		// Sunset: the flat alias spellings are rejected everywhere now,
-		// exactly like /v1/subscribe always has; the opt-in flag restores
-		// the old decode-with-warning behavior for stragglers.
-		return pnn.Request{}, nil, errf(CodeUseQuerySpec, "",
-			"legacy flat query fields are no longer accepted (%s); use the nested query/window spelling, "+
-				"or start the server with -legacy-aliases during migration", warnings[0])
+// Request. A request spelling a legacy flat alias is refused.
+func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, *apiError) {
+	if aliases := legacyAliases(req); len(aliases) > 0 {
+		return pnn.Request{}, errf(CodeUseQuerySpec, "",
+			"legacy flat query fields are no longer accepted (%s); use the nested query/window spelling", aliases[0])
 	}
 	switch sem {
 	case pnn.ForAll, pnn.Exists, pnn.Continuous:
 	default:
-		return pnn.Request{}, nil, errf(CodeUnknownSemantics, "semantics",
+		return pnn.Request{}, errf(CodeUnknownSemantics, "semantics",
 			"unknown semantics %q (want %q, %q or %q)", sem, pnn.ForAll, pnn.Exists, pnn.Continuous)
 	}
 
-	// Fold the legacy flat reference into the canonical nested one.
 	ref := QueryRef{}
 	if req.Query != nil {
 		ref = *req.Query
-	}
-	if ref.State == nil && ref.Point == nil && ref.Trajectory == nil {
-		ref.State = req.State
-		ref.Trajectory = req.Trajectory
-		if req.X != nil || req.Y != nil {
-			if req.X == nil || req.Y == nil {
-				return pnn.Request{}, nil, errf(CodeInvalidQuery, "query", "x and y must be given together")
-			}
-			ref.Point = &Point{X: *req.X, Y: *req.Y}
-		}
 	}
 	refs := 0
 	if ref.State != nil {
@@ -893,14 +849,14 @@ func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, []str
 		refs++
 	}
 	if refs != 1 {
-		return pnn.Request{}, nil, errf(CodeInvalidQuery, "query",
+		return pnn.Request{}, errf(CodeInvalidQuery, "query",
 			`give exactly one query reference: "state", "point", or "trajectory"`)
 	}
 	var q pnn.Query
 	switch {
 	case ref.State != nil:
 		if *ref.State < 0 || *ref.State >= s.net.NumStates() {
-			return pnn.Request{}, nil, errf(CodeInvalidQuery, "query.state",
+			return pnn.Request{}, errf(CodeInvalidQuery, "query.state",
 				"state %d out of range [0, %d)", *ref.State, s.net.NumStates())
 		}
 		q = pnn.AtState(s.net, *ref.State)
@@ -908,7 +864,7 @@ func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, []str
 		q = pnn.AtPoint(pnn.Point{X: ref.Point.X, Y: ref.Point.Y})
 	default:
 		if len(ref.Trajectory.Points) == 0 {
-			return pnn.Request{}, nil, errf(CodeInvalidQuery, "query.trajectory", "trajectory needs at least one point")
+			return pnn.Request{}, errf(CodeInvalidQuery, "query.trajectory", "trajectory needs at least one point")
 		}
 		pts := make([]pnn.Point, len(ref.Trajectory.Points))
 		for i, p := range ref.Trajectory.Points {
@@ -917,30 +873,21 @@ func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, []str
 		q = pnn.Moving(ref.Trajectory.Start, pts)
 	}
 
-	// Fold the legacy flat interval into the canonical window.
 	win := Window{}
-	switch {
-	case req.Window != nil:
+	if req.Window != nil {
 		win = *req.Window
-	case req.Ts != nil || req.Te != nil:
-		if req.Ts != nil {
-			win.Ts = *req.Ts
-		}
-		if req.Te != nil {
-			win.Te = *req.Te
-		}
 	}
 	if win.Te < win.Ts {
-		return pnn.Request{}, nil, errf(CodeInvalidWindow, "window", "inverted interval [%d, %d]", win.Ts, win.Te)
+		return pnn.Request{}, errf(CodeInvalidWindow, "window", "inverted interval [%d, %d]", win.Ts, win.Te)
 	}
 	if req.K < 0 {
-		return pnn.Request{}, nil, errf(CodeInvalidK, "k", "k must be >= 1, got %d", req.K)
+		return pnn.Request{}, errf(CodeInvalidK, "k", "k must be >= 1, got %d", req.K)
 	}
 	if req.Tau < 0 || req.Tau > 1 {
-		return pnn.Request{}, nil, errf(CodeInvalidTau, "tau", "tau must be in [0, 1], got %v", req.Tau)
+		return pnn.Request{}, errf(CodeInvalidTau, "tau", "tau must be in [0, 1], got %v", req.Tau)
 	}
 	if sem == pnn.Continuous && req.Tau == 0 {
-		return pnn.Request{}, nil, errf(CodeInvalidTau, "tau", "pcnn requires tau > 0")
+		return pnn.Request{}, errf(CodeInvalidTau, "tau", "pcnn requires tau > 0")
 	}
 	var conf pnn.Confidence
 	if req.Confidence != nil {
@@ -950,10 +897,10 @@ func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, []str
 			MaxSamples: req.Confidence.MaxSamples,
 		}
 		if err := conf.Validate(); err != nil {
-			return pnn.Request{}, nil, errf(CodeInvalidConfidence, "confidence", "%v", err)
+			return pnn.Request{}, errf(CodeInvalidConfidence, "confidence", "%v", err)
 		}
 		if conf.MaxSamples > s.cfg.MaxSamplesCap {
-			return pnn.Request{}, nil, errf(CodeInvalidConfidence, "confidence.max_samples",
+			return pnn.Request{}, errf(CodeInvalidConfidence, "confidence.max_samples",
 				"max_samples %d exceeds the server cap %d", conf.MaxSamples, s.cfg.MaxSamplesCap)
 		}
 	}
@@ -966,7 +913,7 @@ func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, []str
 		Tau:        req.Tau,
 		Seed:       req.Seed,
 		Confidence: conf,
-	}, warnings, nil
+	}, nil
 }
 
 // respErrStatus classifies a backend response error into its HTTP

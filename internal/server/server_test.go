@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -16,10 +17,7 @@ import (
 )
 
 // testServer builds a small grid database and an httptest server over
-// it. Legacy QuerySpec aliases are enabled, as on a server started with
-// -legacy-aliases: most tests here predate the sunset and pin the
-// migration behavior (flat spellings answer, with deprecation
-// signals). TestAliasSunset covers the default-configuration rejection.
+// it.
 func testServer(t *testing.T) (*pnn.Network, *pnn.Processor, *httptest.Server) {
 	t.Helper()
 	net, err := pnn.NewGridNetwork(8, 8)
@@ -43,7 +41,7 @@ func testServer(t *testing.T) (*pnn.Network, *pnn.Processor, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(net, proc, Config{BatchWorkers: 2, Ingest: true, LegacyAliases: true}))
+	ts := httptest.NewServer(New(net, proc, Config{BatchWorkers: 2, Ingest: true}))
 	t.Cleanup(ts.Close)
 	return net, proc, ts
 }
@@ -168,7 +166,7 @@ func TestQueryEndpointsRoundTrip(t *testing.T) {
 	q := pnn.AtState(net, center)
 
 	body := func(extra string) string {
-		return fmt.Sprintf(`{"state": %d, "ts": 1, "te": 6, "tau": 0.05, "seed": 42%s}`, center, extra)
+		return fmt.Sprintf(`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 42%s}`, center, extra)
 	}
 
 	t.Run("forallnn", func(t *testing.T) {
@@ -206,7 +204,7 @@ func TestQueryEndpointsRoundTrip(t *testing.T) {
 	})
 	t.Run("pcnn", func(t *testing.T) {
 		code, raw := post(t, ts.URL+"/v1/pcnn",
-			fmt.Sprintf(`{"state": %d, "ts": 1, "te": 4, "tau": 0.3, "seed": 7}`, center))
+			fmt.Sprintf(`{"query": {"state": %d}, "window": {"ts": 1, "te": 4}, "tau": 0.3, "seed": 7}`, center))
 		if code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, raw)
 		}
@@ -229,12 +227,12 @@ func TestQueryEndpointsRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("point-and-trajectory-references", func(t *testing.T) {
-		code, _ := post(t, ts.URL+"/v1/existsnn", `{"x": 0.5, "y": 0.5, "ts": 1, "te": 5, "tau": 0.05}`)
+		code, _ := post(t, ts.URL+"/v1/existsnn", `{"query": {"point": {"x": 0.5, "y": 0.5}}, "window": {"ts": 1, "te": 5}, "tau": 0.05}`)
 		if code != http.StatusOK {
 			t.Errorf("point query status = %d", code)
 		}
 		code, _ = post(t, ts.URL+"/v1/existsnn",
-			`{"trajectory": {"start": 1, "points": [{"x": 0.4, "y": 0.5}, {"x": 0.5, "y": 0.5}]}, "ts": 1, "te": 5, "tau": 0.05}`)
+			`{"query": {"trajectory": {"start": 1, "points": [{"x": 0.4, "y": 0.5}, {"x": 0.5, "y": 0.5}]}}, "window": {"ts": 1, "te": 5}, "tau": 0.05}`)
 		if code != http.StatusOK {
 			t.Errorf("trajectory query status = %d", code)
 		}
@@ -258,9 +256,9 @@ func TestBatchEndpoint(t *testing.T) {
 	center := net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
 	q := pnn.AtState(net, center)
 	body := fmt.Sprintf(`{"requests": [
-		{"semantics": "forall", "state": %d, "ts": 1, "te": 6, "tau": 0.05, "seed": 1},
-		{"semantics": "exists", "state": %d, "ts": 1, "te": 6, "tau": 0.05, "seed": 2},
-		{"semantics": "cnn",    "state": %d, "ts": 1, "te": 4, "tau": 0.3,  "seed": 3}
+		{"semantics": "forall", "query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 1},
+		{"semantics": "exists", "query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 2},
+		{"semantics": "cnn",    "query": {"state": %d}, "window": {"ts": 1, "te": 4}, "tau": 0.3,  "seed": 3}
 	]}`, center, center, center)
 	code, raw := post(t, ts.URL+"/v1/batch", body)
 	if code != http.StatusOK {
@@ -306,24 +304,24 @@ func TestValidation(t *testing.T) {
 		status           int
 		code             string
 	}{
-		{"no-reference", "/v1/forallnn", `{"ts": 1, "te": 5, "tau": 0.1}`, 400, CodeInvalidQuery},
-		{"two-references", "/v1/forallnn", `{"state": 3, "x": 0.5, "y": 0.5, "ts": 1, "te": 5, "tau": 0.1}`, 400, CodeInvalidQuery},
-		{"x-without-y", "/v1/forallnn", `{"x": 0.5, "ts": 1, "te": 5, "tau": 0.1}`, 400, CodeInvalidQuery},
-		{"state-out-of-range", "/v1/forallnn", `{"state": 9999, "ts": 1, "te": 5, "tau": 0.1}`, 400, CodeInvalidQuery},
-		{"inverted-interval", "/v1/forallnn", `{"state": 3, "ts": 5, "te": 1, "tau": 0.1}`, 400, CodeInvalidWindow},
+		{"no-reference", "/v1/forallnn", `{"window": {"ts": 1, "te": 5}, "tau": 0.1}`, 400, CodeInvalidQuery},
+		{"two-references", "/v1/forallnn", `{"query": {"state": 3, "point": {"x": 0.5, "y": 0.5}}, "window": {"ts": 1, "te": 5}, "tau": 0.1}`, 400, CodeInvalidQuery},
+		{"x-without-y", "/v1/forallnn", `{"x": 0.5, "window": {"ts": 1, "te": 5}, "tau": 0.1}`, 400, CodeUseQuerySpec},
+		{"state-out-of-range", "/v1/forallnn", `{"query": {"state": 9999}, "window": {"ts": 1, "te": 5}, "tau": 0.1}`, 400, CodeInvalidQuery},
+		{"inverted-interval", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 5, "te": 1}, "tau": 0.1}`, 400, CodeInvalidWindow},
 		{"inverted-window-canonical", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 5, "te": 1}, "tau": 0.1}`, 400, CodeInvalidWindow},
-		{"tau-out-of-range", "/v1/forallnn", `{"state": 3, "ts": 1, "te": 5, "tau": 1.5}`, 400, CodeInvalidTau},
-		{"negative-k", "/v1/forallnn", `{"state": 3, "ts": 1, "te": 5, "tau": 0.1, "k": -2}`, 400, CodeInvalidK},
-		{"pcnn-zero-tau", "/v1/pcnn", `{"state": 3, "ts": 1, "te": 5, "tau": 0}`, 400, CodeInvalidTau},
-		{"empty-trajectory", "/v1/existsnn", `{"trajectory": {"start": 0, "points": []}, "ts": 1, "te": 5}`, 400, CodeInvalidQuery},
-		{"malformed-json", "/v1/forallnn", `{"state": `, 400, CodeInvalidBody},
-		{"unknown-field", "/v1/forallnn", `{"state": 3, "ts": 1, "te": 5, "tau": 0.1, "bogus": true}`, 400, CodeInvalidBody},
-		{"bad-confidence-eps", "/v1/forallnn", `{"state": 3, "ts": 1, "te": 5, "tau": 0.1, "confidence": {"eps": 1.5}}`, 400, CodeInvalidConfidence},
-		{"bad-confidence-delta", "/v1/forallnn", `{"state": 3, "ts": 1, "te": 5, "tau": 0.1, "confidence": {"eps": 0.05, "delta": 1}}`, 400, CodeInvalidConfidence},
-		{"confidence-over-cap", "/v1/forallnn", `{"state": 3, "ts": 1, "te": 5, "tau": 0.1, "confidence": {"eps": 0.05, "max_samples": 99999999}}`, 400, CodeInvalidConfidence},
+		{"tau-out-of-range", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 1, "te": 5}, "tau": 1.5}`, 400, CodeInvalidTau},
+		{"negative-k", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 1, "te": 5}, "tau": 0.1, "k": -2}`, 400, CodeInvalidK},
+		{"pcnn-zero-tau", "/v1/pcnn", `{"query": {"state": 3}, "window": {"ts": 1, "te": 5}, "tau": 0}`, 400, CodeInvalidTau},
+		{"empty-trajectory", "/v1/existsnn", `{"query": {"trajectory": {"start": 0, "points": []}}, "window": {"ts": 1, "te": 5}}`, 400, CodeInvalidQuery},
+		{"malformed-json", "/v1/forallnn", `{"query": `, 400, CodeInvalidBody},
+		{"unknown-field", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 1, "te": 5}, "tau": 0.1, "bogus": true}`, 400, CodeInvalidBody},
+		{"bad-confidence-eps", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 1, "te": 5}, "tau": 0.1, "confidence": {"eps": 1.5}}`, 400, CodeInvalidConfidence},
+		{"bad-confidence-delta", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 1, "te": 5}, "tau": 0.1, "confidence": {"eps": 0.05, "delta": 1}}`, 400, CodeInvalidConfidence},
+		{"confidence-over-cap", "/v1/forallnn", `{"query": {"state": 3}, "window": {"ts": 1, "te": 5}, "tau": 0.1, "confidence": {"eps": 0.05, "max_samples": 99999999}}`, 400, CodeInvalidConfidence},
 		{"empty-batch", "/v1/batch", `{"requests": []}`, 400, CodeEmptyBatch},
-		{"batch-bad-semantics", "/v1/batch", `{"requests": [{"semantics": "sometimes", "state": 3, "ts": 1, "te": 5}]}`, 400, CodeUnknownSemantics},
-		{"batch-bad-item", "/v1/batch", `{"requests": [{"semantics": "exists", "state": 3, "ts": 5, "te": 1}]}`, 400, CodeInvalidWindow},
+		{"batch-bad-semantics", "/v1/batch", `{"requests": [{"semantics": "sometimes", "query": {"state": 3}, "window": {"ts": 1, "te": 5}}]}`, 400, CodeUnknownSemantics},
+		{"batch-bad-item", "/v1/batch", `{"requests": [{"semantics": "exists", "query": {"state": 3}, "window": {"ts": 5, "te": 1}}]}`, 400, CodeInvalidWindow},
 		{"ingest-empty-observations", "/v1/objects", `{"id": 300, "observations": []}`, 400, CodeInvalidObservation},
 		{"ingest-duplicate-id", "/v1/objects", `{"id": 100, "observations": [{"t": 0, "state": 1}]}`, 409, CodeDuplicateObject},
 		{"ingest-unknown-object", "/v1/observe", `{"id": 999, "observations": [{"t": 50, "state": 1}]}`, 409, CodeUnknownObject},
@@ -357,100 +355,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestQuerySpecAliases pins that the canonical nested spelling and the
-// legacy flat spelling of the same request produce byte-identical
-// response bodies, for each endpoint and for batch items.
-func TestQuerySpecAliases(t *testing.T) {
-	net, _, ts := testServer(t)
-	center := net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
-	pairs := []struct {
-		name, path, legacy, canonical string
-	}{
-		{
-			"state-forall", "/v1/forallnn",
-			fmt.Sprintf(`{"state": %d, "ts": 1, "te": 6, "tau": 0.05, "seed": 42}`, center),
-			fmt.Sprintf(`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 42}`, center),
-		},
-		{
-			"point-exists", "/v1/existsnn",
-			`{"x": 0.5, "y": 0.5, "ts": 1, "te": 5, "tau": 0.05, "seed": 7, "k": 2}`,
-			`{"query": {"point": {"x": 0.5, "y": 0.5}}, "window": {"ts": 1, "te": 5}, "tau": 0.05, "seed": 7, "k": 2}`,
-		},
-		{
-			"trajectory-pcnn", "/v1/pcnn",
-			`{"trajectory": {"start": 1, "points": [{"x": 0.4, "y": 0.5}, {"x": 0.5, "y": 0.5}]}, "ts": 1, "te": 4, "tau": 0.3, "seed": 3}`,
-			`{"query": {"trajectory": {"start": 1, "points": [{"x": 0.4, "y": 0.5}, {"x": 0.5, "y": 0.5}]}}, "window": {"ts": 1, "te": 4}, "tau": 0.3, "seed": 3}`,
-		},
-		{
-			"confidence-forall", "/v1/forallnn",
-			fmt.Sprintf(`{"state": %d, "ts": 1, "te": 6, "tau": 0.3, "seed": 42, "confidence": {"eps": 0.05}}`, center),
-			fmt.Sprintf(`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.3, "seed": 42, "confidence": {"eps": 0.05}}`, center),
-		},
-	}
-	for _, tc := range pairs {
-		t.Run(tc.name, func(t *testing.T) {
-			post(t, ts.URL+tc.path, tc.legacy) // warm the sampler cache so stats match
-			lCode, lRaw := post(t, ts.URL+tc.path, tc.legacy)
-			cCode, cRaw := post(t, ts.URL+tc.path, tc.canonical)
-			if lCode != http.StatusOK || cCode != http.StatusOK {
-				t.Fatalf("legacy = %d (%s), canonical = %d (%s)", lCode, lRaw, cCode, cRaw)
-			}
-			// The answers must be identical; the legacy spelling
-			// additionally carries deprecation warnings, which are not
-			// part of the answer.
-			var lqr, cqr QueryResponse
-			if err := json.Unmarshal(lRaw, &lqr); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(cRaw, &cqr); err != nil {
-				t.Fatal(err)
-			}
-			if len(lqr.Warnings) == 0 {
-				t.Error("legacy spelling answered without deprecation warnings")
-			}
-			if len(cqr.Warnings) != 0 {
-				t.Errorf("canonical spelling warned: %v", cqr.Warnings)
-			}
-			lqr.Warnings, cqr.Warnings = nil, nil
-			lb, _ := json.Marshal(lqr)
-			cb, _ := json.Marshal(cqr)
-			if !bytes.Equal(lb, cb) {
-				t.Errorf("spellings diverge:\nlegacy:    %s\ncanonical: %s", lb, cb)
-			}
-		})
-	}
-	// Both spellings work identically inside batch items too.
-	batch := func(item string) []byte {
-		code, raw := post(t, ts.URL+"/v1/batch", `{"requests": [`+item+`]}`)
-		if code != http.StatusOK {
-			t.Fatalf("batch = %d: %s", code, raw)
-		}
-		return raw
-	}
-	batch(fmt.Sprintf(`{"semantics": "exists", "state": %d, "ts": 1, "te": 6, "tau": 0.05, "seed": 5}`, center))
-	legacy := batch(fmt.Sprintf(`{"semantics": "exists", "state": %d, "ts": 1, "te": 6, "tau": 0.05, "seed": 5}`, center))
-	canon := batch(fmt.Sprintf(`{"semantics": "exists", "query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 5}`, center))
-	// batch_stats.adapt_ms is wall-clock; compare only the answers.
-	var lb, cb BatchResponse
-	if err := json.Unmarshal(legacy, &lb); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(canon, &cb); err != nil {
-		t.Fatal(err)
-	}
-	if len(lb.Responses) == 0 || len(lb.Responses[0].Warnings) == 0 {
-		t.Error("legacy batch item answered without deprecation warnings")
-	}
-	for i := range lb.Responses {
-		lb.Responses[i].Warnings = nil
-	}
-	lr, _ := json.Marshal(lb.Responses)
-	cr, _ := json.Marshal(cb.Responses)
-	if !bytes.Equal(lr, cr) {
-		t.Errorf("batch spellings diverge:\nlegacy:    %s\ncanonical: %s", lr, cr)
-	}
-}
-
 // TestConfidenceEndToEnd drives an adaptive query over HTTP and checks
 // the sampling block reports an early stop within the advertised cap,
 // and that /healthz advertises the confidence range.
@@ -459,7 +363,7 @@ func TestConfidenceEndToEnd(t *testing.T) {
 	center := net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
 
 	code, raw := post(t, ts.URL+"/v1/forallnn", fmt.Sprintf(
-		`{"state": %d, "ts": 1, "te": 6, "tau": 0.3, "seed": 42, "confidence": {"eps": 0.05, "max_samples": 2000}}`, center))
+		`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.3, "seed": 42, "confidence": {"eps": 0.05, "max_samples": 2000}}`, center))
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, raw)
 	}
@@ -588,7 +492,7 @@ func TestIngestEndpoints(t *testing.T) {
 	// A query after both writes sees the parked object, including the
 	// window only the appended observation covers.
 	code, raw = post(t, ts.URL+"/v1/forallnn", fmt.Sprintf(
-		`{"state": %d, "ts": 7, "te": 11, "tau": 0.5, "seed": 3}`, corner))
+		`{"query": {"state": %d}, "window": {"ts": 7, "te": 11}, "tau": 0.5, "seed": 3}`, corner))
 	if code != http.StatusOK {
 		t.Fatalf("post-ingest query = %d: %s", code, raw)
 	}
@@ -679,15 +583,13 @@ func TestIngestDisabled(t *testing.T) {
 	}
 }
 
-// TestAliasSunset pins the default behavior after the alias sunset: a
-// server started WITHOUT -legacy-aliases refuses the flat QuerySpec
-// spellings outright — 400 with the stable code use_query_spec, on
-// one-shot endpoints and inside batch items alike — while the
-// canonical nested spelling keeps working, without warnings.
+// TestAliasSunset pins the behavior after the alias sunset: the server
+// refuses the flat QuerySpec spellings outright — 400 with the stable
+// code use_query_spec, on one-shot endpoints and inside batch items
+// alike — while the canonical nested spelling keeps working, with no
+// warnings key and no Deprecation header.
 func TestAliasSunset(t *testing.T) {
-	net, proc, _ := testServer(t)
-	ts := httptest.NewServer(New(net, proc, Config{})) // default: aliases off
-	defer ts.Close()
+	net, _, ts := testServer(t)
 	center := net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
 
 	flat := []struct{ name, path, body string }{
@@ -709,8 +611,8 @@ func TestAliasSunset(t *testing.T) {
 			if e.Error.Code != CodeUseQuerySpec {
 				t.Errorf("error.code = %q, want %q (%s)", e.Error.Code, CodeUseQuerySpec, raw)
 			}
-			if !strings.Contains(e.Error.Message, "-legacy-aliases") {
-				t.Errorf("rejection does not point at the migration flag: %s", raw)
+			if !strings.Contains(e.Error.Message, "nested query/window spelling") {
+				t.Errorf("rejection does not point at the canonical spelling: %s", raw)
 			}
 		})
 	}
@@ -731,17 +633,21 @@ func TestAliasSunset(t *testing.T) {
 	}
 
 	// Canonical spellings are untouched, and answer without warnings.
-	code, raw = post(t, ts.URL+"/v1/forallnn", fmt.Sprintf(
-		`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 42}`, center))
-	if code != http.StatusOK {
-		t.Fatalf("canonical spelling = %d, want 200 (%s)", code, raw)
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(raw, &qr); err != nil {
+	resp, err := http.Post(ts.URL+"/v1/forallnn", "application/json", strings.NewReader(fmt.Sprintf(
+		`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 42}`, center)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qr.Warnings) != 0 {
-		t.Errorf("canonical spelling warned: %v", qr.Warnings)
+	defer resp.Body.Close()
+	raw, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("canonical spelling = %d, want 200 (%s)", resp.StatusCode, raw)
+	}
+	if bytes.Contains(raw, []byte(`"warnings"`)) || resp.Header.Get("Deprecation") != "" {
+		t.Errorf("canonical spelling answered with a deprecation signal: %v %s", resp.Header, raw)
 	}
 }
 
@@ -754,9 +660,9 @@ func TestBatchSharedWorlds(t *testing.T) {
 	center := net.NearestState(pnn.Point{X: 0.5, Y: 0.5})
 	q := pnn.AtState(net, center)
 	body := fmt.Sprintf(`{"share_worlds": true, "shared_seed": 9, "requests": [
-		{"semantics": "forall", "state": %d, "ts": 1, "te": 6, "tau": 0.05},
-		{"semantics": "exists", "state": %d, "ts": 1, "te": 6, "tau": 0.05},
-		{"semantics": "exists", "state": %d, "ts": 2, "te": 5, "tau": 0.05}
+		{"semantics": "forall", "query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05},
+		{"semantics": "exists", "query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05},
+		{"semantics": "exists", "query": {"state": %d}, "window": {"ts": 2, "te": 5}, "tau": 0.05}
 	]}`, center, center, center)
 	code, raw := post(t, ts.URL+"/v1/batch", body)
 	if code != http.StatusOK {

@@ -67,8 +67,8 @@ type SubEventJSON struct {
 	// consumer it missed intermediate versions.
 	Dropped  int64          `json:"dropped,omitempty"`
 	Response *QueryResponse `json:"response,omitempty"`
-	// Sweep reports how the grouped fanout produced this answer; absent
-	// on bye events and on answers from registries without grouping.
+	// Sweep reports how the group pass produced this answer; absent on
+	// bye events.
 	Sweep *SubSweepJSON `json:"sweep,omitempty"`
 }
 
@@ -134,12 +134,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeInvalidBody, "", err)
 		return
 	}
-	if aliases := legacyAliases(spec.QuerySpec); len(aliases) != 0 {
-		httpError(w, http.StatusBadRequest, CodeUseQuerySpec, "",
-			fmt.Sprintf("/v1/subscribe takes only the canonical QuerySpec shape (%s)", aliases[0]))
-		return
-	}
-	pr, _, aerr := s.toRequest(pnn.Semantics(spec.Semantics), spec.QuerySpec)
+	pr, aerr := s.toRequest(pnn.Semantics(spec.Semantics), spec.QuerySpec)
 	if aerr != nil {
 		httpError(w, http.StatusBadRequest, aerr.code, aerr.field, aerr.msg)
 		return

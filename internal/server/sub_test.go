@@ -144,8 +144,8 @@ func TestSubscribeSSERoundTrip(t *testing.T) {
 }
 
 // TestSubscribeRejectsLegacyAliases pins the canonical-only contract of
-// the new surface: flat alias spellings that one-shot endpoints still
-// serve (with a warning) are a hard 400 here.
+// the subscription surface: flat alias spellings are a hard 400 here,
+// as on every endpoint.
 func TestSubscribeRejectsLegacyAliases(t *testing.T) {
 	net2, _, ts := testServer(t)
 	center := net2.NearestState(pnn.Point{X: 0.5, Y: 0.5})
@@ -386,48 +386,6 @@ func TestSSEStreamOutlivesIdleTimeout(t *testing.T) {
 	}
 	if event, e := readFrame(t, br); event != "answer" || e.Response == nil {
 		t.Fatalf("frame after %v of silence = %q %+v, want the re-evaluation", 4*idle, event, e)
-	}
-}
-
-// TestDeprecationSignals checks the one-shot alias deprecation
-// satellite: flat spellings still answer, but carry the Deprecation
-// header and a warnings array; canonical requests carry neither.
-func TestDeprecationSignals(t *testing.T) {
-	net2, _, ts := testServer(t)
-	center := net2.NearestState(pnn.Point{X: 0.5, Y: 0.5})
-
-	do := func(body string) (*http.Response, QueryResponse) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/forallnn", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var qr QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Fatal(err)
-		}
-		return resp, qr
-	}
-
-	legacy, lqr := do(fmt.Sprintf(`{"state": %d, "ts": 1, "te": 6, "tau": 0.05, "seed": 9}`, center))
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Error("legacy aliases answered without a Deprecation header")
-	}
-	if len(lqr.Warnings) != 3 {
-		t.Errorf("warnings = %v, want one each for state/ts/te", lqr.Warnings)
-	}
-
-	canonical, cqr := do(fmt.Sprintf(
-		`{"query": {"state": %d}, "window": {"ts": 1, "te": 6}, "tau": 0.05, "seed": 9}`, center))
-	if canonical.Header.Get("Deprecation") != "" {
-		t.Error("canonical request carries a Deprecation header")
-	}
-	if len(cqr.Warnings) != 0 {
-		t.Errorf("canonical request warned: %v", cqr.Warnings)
 	}
 }
 

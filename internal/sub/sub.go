@@ -1,43 +1,67 @@
 // Package sub keeps standing queries alive over a live PNN database:
-// a registry of subscriptions, each a re-runnable evaluation closure
-// plus delivery state, re-evaluated incrementally as writes arrive.
+// a registry of subscriptions, re-evaluated incrementally as writes
+// arrive.
 //
-// The core idea is inverting the UST-tree filter step. Every
-// evaluation reports its influence region — the influencer object IDs
-// it sampled and the per-timestep pruning thresholds (see
-// shard.Influence). The registry maintains the inverse map
-// object → subscriptions, so a write to object o re-runs only
+// The registry's unit is the compatibility group. Every subscription
+// registers under a key, and subscriptions sharing a key are answered
+// by ONE evaluation pass of the registry's GroupEval hook; the caller's
+// key must guarantee that a grouped pass answers each member
+// byte-identically to its own single pass. The group owns scheduling
+// (dirty, queued, running), its place in the write-path index, its
+// influence region and an opaque state value handed from one pass to
+// the next (the facade stores the adaptive early-stop point there, and
+// its last evaluation, which a pass whose sampled inputs did not change
+// replays instead of sampling). A subscription owns only its delivery
+// state. A key used by one subscription is simply a group of one.
 //
-//   - subscriptions whose last influencer set contains o (index hit), and
-//   - subscriptions whose influence region o's NEW state touches
+// The write path inverts the UST-tree filter step. Every pass reports
+// its group's influence region — the influencer object IDs it sampled
+// and the per-timestep pruning thresholds (see shard.Influence). The
+// registry maintains the inverse map object → groups, so a write to
+// object o re-runs only
+//
+//   - groups whose last influencer set contains o (index hit), and
+//   - groups whose influence region o's NEW state touches
 //     (a rectangle sweep against the stored thresholds).
 //
 // Everything else provably keeps its answer: an object strictly
 // outside the thresholds at every window time cannot be among the k
 // nearest at any time, and because per-row sampling is keyed by
 // (seed, object ID), the unchanged influencer rows re-draw identical
-// worlds. Per-update work is proportional to affected subscriptions,
-// not registered subscriptions.
+// worlds. A write costs one index lookup plus one touch test per group
+// that the index did not hit and that is not already dirty, and each
+// affected group costs one pass, however many members it has.
 //
-// On top of the selective index the registry amortizes two further
-// costs. Subscriptions registered with a compatibility key
-// (SubscribeKeyed) that share the key are re-evaluated as ONE group by
-// the registry's GroupEval hook — cost per sweep scales with distinct
-// keys touched, not subscriptions touched — and each key carries an
-// opaque state value handed from one group evaluation to the next (the
-// facade stores the group's adaptive early-stop point there, and its
-// last evaluation, which a pass whose sampled inputs did not change
-// replays instead of sampling). Writes
-// themselves are coalesced: NotifyWrite only classifies and marks, and
-// a sweep scheduler drains the accumulated dirty set once per
-// SweepInterval, so a burst of writes pays for one grouped sweep.
+// Writes are coalesced: NotifyWrite only classifies and marks, and a
+// sweep scheduler drains the dirty groups once per SweepInterval, so a
+// burst of writes pays for one pass per group.
 //
-// The package is payload-agnostic — evaluation closures, result
-// payloads, regions, keys and group state are opaque — so it sits
-// below the pnn facade without an import cycle.
+// A group pass publishes the group's influencers, region and state. A
+// new member's initial answer comes from a group pass when its group
+// has none completed yet or owes one (it is dirty); otherwise from a
+// join pass, which answers that member alone, reads the group's state
+// and publishes nothing. The registry keeps these invariants:
+//
+//   - At most one group pass of a group runs at a time, and never
+//     beside a join pass; join passes of several new members may
+//     overlap one another, since they only read.
+//   - A write that hits or touches a group while a group pass runs
+//     re-queues the group. A write that arrives mid-pass is tested
+//     against the influencers and region that pass publishes, not the
+//     older ones.
+//   - A new member's first event is seq 1, delivered by the first pass
+//     that starts after it registered; the member joins the group's
+//     re-evaluation passes only after that event.
+//   - A group's region and influencers come from its newest completed
+//     group pass.
+//
+// The package is payload-agnostic — result payloads, regions, keys and
+// group state are opaque — so it sits below the pnn facade without an
+// import cycle.
 package sub
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,63 +109,68 @@ type Event struct {
 	Payload any
 }
 
-// Eval is the result of one evaluation of a standing query.
+// Eval is one member's answer from a pass.
 type Eval struct {
 	// Version is the snapshot version evaluated.
 	Version int64
-	// Influencers are the object IDs whose possible worlds the answer
-	// sampled; the registry inverts them into the object→subs index.
-	Influencers []int
-	// Region describes the query's influence region for the write-path
-	// touch test, opaque to this package. A nil Region keeps the
-	// previous one (and a subscription that never reported one is
-	// conservatively affected by every write).
-	Region any
 	// Payload is the answer to deliver.
 	Payload any
 	// Fingerprint condenses the answer for OnChangeOnly comparison.
 	Fingerprint uint64
-	// BudgetReused marks an evaluation that started from a previously
-	// proven adaptive budget (group-state reuse) instead of escalating
-	// from the first round; counted in Stats.ReusedBudget.
+}
+
+// Pass is the result of one evaluation pass over a group.
+type Pass struct {
+	// Evals answer the pass's members, aligned with its metas.
+	Evals []Eval
+	// Influencers are the object IDs whose possible worlds the pass
+	// sampled; the registry inverts them into the object→groups index.
+	Influencers []int
+	// Region describes the group's influence region for the write-path
+	// touch test, opaque to this package. A nil Region keeps the
+	// previous one (and a group that never reported one is
+	// conservatively affected by every write).
+	Region any
+	// State replaces the group's carried state after a group pass; nil
+	// keeps it.
+	State any
+	// BudgetReused marks a pass that started from a previously proven
+	// adaptive budget instead of escalating from the first round;
+	// counted in Stats.ReusedBudget.
 	BudgetReused bool
-	// Carried marks an evaluation that replayed the previous pass's
-	// answer because none of its sampled inputs changed, instead of
-	// drawing and evaluating worlds; counted in Stats.Carried.
+	// Carried marks a pass that replayed the previous pass's answers
+	// because none of its sampled inputs changed, instead of drawing and
+	// evaluating worlds; counted in Stats.Carried.
 	Carried bool
 }
 
-// EvalFunc re-evaluates a standing query against the current snapshot.
-// It must be safe for concurrent use with other subscriptions' funcs.
-type EvalFunc func() Eval
-
-// GroupEvalFunc re-evaluates every member of one compatibility group in
-// a single pass. metas holds the members' Subscribe metas in ascending
-// subscription-ID order; the returned evals must align with it. state
-// is the key's opaque carry-over from the previous group evaluation
-// (nil on the first); the returned newState replaces it — return state
-// unchanged to keep it, nil to leave it as-is. It must be safe for
-// concurrent use across distinct keys.
-type GroupEvalFunc func(key string, metas []any, state any) (evals []Eval, newState any)
+// GroupEvalFunc evaluates members of one group in a single pass. metas
+// holds those members' Subscribe metas in ascending subscription-ID
+// order; the returned Evals must align with it. state is the group's
+// carried state from its previous pass (nil on the first). It must be
+// safe for concurrent use; of one group, only join passes overlap.
+type GroupEvalFunc func(key string, metas []any, state any) Pass
 
 // TouchFunc tests whether a just-written object may intersect a
-// subscription's influence region. It is resolved once per write (not
-// per subscription) by the registry's caller.
+// group's influence region. It is resolved once per write (not per
+// group) by the registry's caller, and may be called after NotifyWrite
+// returns: a write that lands while a pass runs is re-tested against
+// the region that pass publishes.
 type TouchFunc func(region any) bool
 
 // Stats are cumulative registry counters. Evaluations vs Affected is
 // the fanout scoreboard: with N standing subscriptions and W writes,
 // full per-sub re-evaluation would cost N·W passes; selective
-// invalidation schedules only Affected, and grouping folds those into
-// Evaluations passes (a group of n compatible subscriptions counts 1).
+// invalidation marks only Affected members, and grouping folds those
+// into Evaluations passes (a group of n subscriptions counts 1).
 type Stats struct {
 	Active       int   // currently registered subscriptions
 	Notifies     int64 // writes seen
-	TouchTests   int64 // region tests run (index misses only)
-	Affected     int64 // subscription re-evaluations scheduled by writes
+	TouchTests   int64 // group region tests run (index misses only)
+	Affected     int64 // member subscriptions of the groups writes marked dirty
 	Evaluations  int64 // evaluation passes actually run (incl. initial; a grouped pass counts once)
 	Sweeps       int64 // invalidation sweeps drained (each covers >= 1 write)
-	Groups       int64 // grouped passes that covered > 1 subscription
+	Groups       int64 // passes that covered > 1 subscription
 	ReusedBudget int64 // passes that started from a reused adaptive budget
 	Carried      int64 // passes that replayed the previous answer without sampling
 	Emitted      int64 // events handed to consumers (excl. bye)
@@ -166,12 +195,11 @@ type Subscription struct {
 	id   int64
 	d    Delivery
 	meta any
-	eval EvalFunc
 	reg  *Registry
 
 	events chan Event
 
-	// Emission state, guarded by emu (never held while evaluating).
+	// Delivery state, guarded by emu (never held while evaluating).
 	emu      sync.Mutex
 	seq      int64
 	lastVer  int64
@@ -183,14 +211,34 @@ type Subscription struct {
 	pending  *Event
 	timer    *time.Timer
 
-	// Scheduling state, guarded by the registry mutex.
-	key         string // compatibility-group key; "" = never grouped
-	region      any
-	influencers map[int]struct{}
-	dirty       bool
+	// Membership, guarded by the registry mutex: the group (nil once
+	// unsubscribed) and whether the first event went out.
+	g      *group
+	joined bool
+}
+
+// group is one compatibility group: the registry's unit of scheduling,
+// indexing and evaluation. Every field is guarded by the registry
+// mutex.
+type group struct {
+	key         string
+	members     []*Subscription // ascending ID
+	state       any             // carried from pass to pass
+	region      any             // newest completed pass's; nil = none yet
+	influencers []int           // newest completed pass's
+	late        []lateWrite     // writes that arrived while a pass ran
+	dirty       bool            // a pass over every member is owed
 	queued      bool
-	running     bool
-	removed     bool
+	running     bool // a group pass is in flight
+	joining     int  // join passes in flight
+	removed     bool // the last member left
+}
+
+// lateWrite is a write classified while its group's pass ran, held to
+// be re-tested against that pass's influencers and region.
+type lateWrite struct {
+	id    int
+	touch TouchFunc
 }
 
 // ID returns the registry-assigned subscription ID.
@@ -200,13 +248,13 @@ func (s *Subscription) ID() int64 { return s.id }
 // closed after the terminal Bye event.
 func (s *Subscription) Events() <-chan Event { return s.events }
 
-// Meta returns the opaque value attached at Subscribe time.
-func (s *Subscription) Meta() any { return s.meta }
-
 // Info returns a point-in-time description of the subscription.
 func (s *Subscription) Info() Info {
 	s.reg.mu.Lock()
-	nInf := len(s.influencers)
+	nInf := 0
+	if s.g != nil {
+		nInf = len(s.g.influencers)
+	}
 	s.reg.mu.Unlock()
 	s.emu.Lock()
 	defer s.emu.Unlock()
@@ -225,45 +273,34 @@ func (s *Subscription) Info() Info {
 type Options struct {
 	// Workers sizes the evaluation pool (minimum 1).
 	Workers int
-	// GroupEval, when set, evaluates all members of a compatibility
-	// group (SubscribeKeyed) in one pass. When nil, keyed subscriptions
-	// fall back to their per-sub EvalFunc.
+	// GroupEval evaluates the members of a group in one pass. Required.
 	GroupEval GroupEvalFunc
 	// SweepInterval bounds how long a write's invalidations may sit in
-	// the pending set before a sweep drains them, grouped; further
-	// writes inside the window join the same sweep. Zero (or negative)
-	// sweeps immediately on every write — the pre-sweep behavior.
+	// the pending set before a sweep drains them; further writes inside
+	// the window join the same sweep. Zero (or negative) sweeps
+	// immediately on every write.
 	SweepInterval time.Duration
 }
 
-// unit is one queue entry: the members of a compatibility group drained
-// together by a sweep, evaluated in a single pass. Ungrouped
-// subscriptions ride in single-member units.
-type unit struct {
-	subs []*Subscription
-}
-
-// Registry owns every standing subscription: the inverted
-// object→subscriptions index consulted on each write, the pending
-// dirty set its sweep scheduler drains into a FIFO of grouped
-// evaluation units, and the worker pool that re-evaluates them.
-// Writers only classify and mark — evaluation is asynchronous, so the
-// ingest path never waits for sampling.
+// Registry owns every standing subscription and its group: the
+// inverted object→groups index consulted on each write, the pending
+// dirty set its sweep scheduler drains into a FIFO of groups, and the
+// worker pool that runs their passes. Writers only classify and mark —
+// evaluation is asynchronous, so the ingest path never waits for
+// sampling.
 type Registry struct {
-	workers   int
 	groupEval GroupEvalFunc
 
 	mu            sync.Mutex
-	cond          *sync.Cond // queue non-empty or closing
+	work          *sync.Cond // queue non-empty or closing
+	passDone      *sync.Cond // a pass released its group, or closing
 	subs          map[int64]*Subscription
-	index         map[int]map[int64]struct{} // object ID -> subscription IDs
-	queue         []*unit
-	pending       map[int64]*Subscription // dirty, awaiting the next sweep
-	sweepTimer    *time.Timer             // non-nil while a sweep is scheduled
+	groups        map[string]*group
+	index         map[int]map[*group]struct{} // object ID -> groups
+	queue         []*group
+	pending       map[*group]struct{} // dirty, awaiting the next sweep
+	sweepTimer    *time.Timer         // non-nil while a sweep is scheduled
 	sweepInterval time.Duration
-	grouping      bool
-	groupStates   map[string]any // key -> opaque GroupEval carry-over
-	keyCount      map[string]int // live subscriptions per key
 	nextID        int64
 	closed        bool
 	wg            sync.WaitGroup
@@ -273,7 +310,7 @@ type Registry struct {
 	affected    atomic.Int64
 	evaluations atomic.Int64
 	sweeps      atomic.Int64
-	groups      atomic.Int64
+	grouped     atomic.Int64
 	reused      atomic.Int64
 	carried     atomic.Int64
 	emitted     atomic.Int64
@@ -281,32 +318,19 @@ type Registry struct {
 	skipped     atomic.Int64
 }
 
-// NewRegistry returns an empty registry whose evaluations run on
-// `workers` goroutines (minimum 1), with grouping disabled and
-// immediate (per-write) sweeps — the historical behavior.
-func NewRegistry(workers int) *Registry {
-	return New(Options{Workers: workers})
-}
-
 // New returns an empty registry configured by opts.
 func New(opts Options) *Registry {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	r := &Registry{
-		workers:       workers,
 		groupEval:     opts.GroupEval,
 		sweepInterval: opts.SweepInterval,
-		grouping:      true,
 		subs:          make(map[int64]*Subscription),
-		index:         make(map[int]map[int64]struct{}),
-		pending:       make(map[int64]*Subscription),
-		groupStates:   make(map[string]any),
-		keyCount:      make(map[string]int),
+		groups:        make(map[string]*group),
+		index:         make(map[int]map[*group]struct{}),
+		pending:       make(map[*group]struct{}),
 	}
-	r.cond = sync.NewCond(&r.mu)
-	for i := 0; i < workers; i++ {
+	r.work = sync.NewCond(&r.mu)
+	r.passDone = sync.NewCond(&r.mu)
+	for i := 0; i < max(opts.Workers, 1); i++ {
 		r.wg.Add(1)
 		go r.worker()
 	}
@@ -329,36 +353,15 @@ func (r *Registry) SetSweepInterval(d time.Duration) {
 	r.mu.Unlock()
 }
 
-// SetGrouping toggles grouped evaluation of keyed subscriptions.
-// Disabled, every sweep enqueues single-member units (the per-sub
-// baseline the fanout benchmark compares against); GroupEval still runs
-// them, so key state carries over either way.
-func (r *Registry) SetGrouping(enabled bool) {
-	r.mu.Lock()
-	r.grouping = enabled
-	r.mu.Unlock()
-}
-
-// Subscribe registers a standing query and synchronously runs its
-// initial evaluation, so the first event (seq 1) is queued before
-// Subscribe returns and no write published afterwards can be missed:
-// the subscription enters the registry before it evaluates, and a
-// concurrent NotifyWrite either marks it dirty (re-evaluated right
-// after) or is already visible in the snapshot the evaluation reads.
-// meta is returned verbatim by Info for API-layer listings.
-func (r *Registry) Subscribe(eval EvalFunc, d Delivery, meta any) *Subscription {
-	return r.SubscribeKeyed("", eval, d, meta)
-}
-
-// SubscribeKeyed is Subscribe with a compatibility-group key: when the
-// registry has a GroupEval hook, all dirty subscriptions sharing a
-// non-empty key are re-evaluated together as one pass per sweep, and
-// the key's opaque state value carries from each pass to the next. The
-// key must imply compatibility — members receive answers from one
-// shared evaluation, so two requests may share a key only if a grouped
-// pass answers each byte-identically to its own single pass. An empty
-// key never groups.
-func (r *Registry) SubscribeKeyed(key string, eval EvalFunc, d Delivery, meta any) *Subscription {
+// Subscribe registers a standing query as a member of the group named
+// key and returns once its initial answer (seq 1) is queued. It runs
+// that pass itself — a join pass when the group is clean and evaluated,
+// else a group pass — or waits for a pass in flight, and the pass starts
+// after registration, so no write published afterwards is missed: a
+// concurrent NotifyWrite either marks the group dirty or is visible in
+// the snapshot the pass reads. meta is handed to GroupEval and returned
+// verbatim by Info.
+func (r *Registry) Subscribe(key string, d Delivery, meta any) *Subscription {
 	if d.QueueCap <= 0 {
 		d.QueueCap = defaultQueueCap
 	}
@@ -368,12 +371,10 @@ func (r *Registry) SubscribeKeyed(key string, eval EvalFunc, d Delivery, meta an
 	s := &Subscription{
 		d:    d,
 		meta: meta,
-		eval: eval,
-		key:  key,
+		reg:  r,
 		// The terminal bye always fits: eviction keeps one slot usable.
 		events: make(chan Event, d.QueueCap),
 	}
-	s.reg = r
 	r.mu.Lock()
 	r.nextID++
 	s.id = r.nextID
@@ -382,18 +383,50 @@ func (r *Registry) SubscribeKeyed(key string, eval EvalFunc, d Delivery, meta an
 		s.close()
 		return s
 	}
-	r.subs[s.id] = s
-	if key != "" {
-		r.keyCount[key]++
+	g := r.groups[key]
+	if g == nil {
+		g = &group{key: key}
+		r.groups[key] = g
 	}
-	// The initial evaluation holds the single-flight slot like any
-	// worker run: a concurrent write marks the subscription dirty and
-	// finish() re-queues it, instead of racing a second evaluation.
-	s.running = true
+	g.members = append(g.members, s)
+	s.g = g
+	r.subs[s.id] = s
+	for !s.joined && s.g != nil {
+		switch {
+		case g.running, g.dirty && g.joining > 0:
+			r.passDone.Wait()
+		case g.dirty, g.region == nil:
+			g.running = true
+			r.mu.Unlock()
+			r.runPass(g)
+			r.mu.Lock()
+		default:
+			r.joinLocked(g, s)
+		}
+	}
 	r.mu.Unlock()
-	r.evalUnit([]*Subscription{s})
-	r.finish(s)
 	return s
+}
+
+// joinLocked runs a join pass: it answers s alone from a snapshot read
+// now and the group's state, and publishes nothing. While the group is
+// clean, its region and influencers describe every snapshot since its
+// last group pass, this one included. Callers hold r.mu, which is
+// released during the evaluation.
+func (r *Registry) joinLocked(g *group, s *Subscription) {
+	g.joining++
+	state := g.state
+	r.mu.Unlock()
+	p := r.groupEval(g.key, []any{s.meta}, state)
+	r.count(p, 1)
+	if len(p.Evals) > 0 {
+		s.deliver(p.Evals[0])
+	}
+	r.mu.Lock()
+	s.joined = true
+	if g.joining--; g.joining == 0 {
+		r.releaseLocked(g)
+	}
 }
 
 // Unsubscribe removes a subscription: its consumer receives a terminal
@@ -413,28 +446,23 @@ func (r *Registry) Unsubscribe(id int64) bool {
 	return true
 }
 
-// drop unlinks s from the maps; callers hold r.mu. The last member of
-// a compatibility group takes the key's carried state with it — a
-// later subscription with the same key starts fresh.
+// drop unlinks s from the registry and its group; callers hold r.mu.
+// The last member takes the group with it — its index entries and
+// carried state — so a later subscription with the same key starts
+// fresh.
 func (r *Registry) drop(s *Subscription) {
 	delete(r.subs, s.id)
-	delete(r.pending, s.id)
-	for oid := range s.influencers {
-		if set := r.index[oid]; set != nil {
-			delete(set, s.id)
-			if len(set) == 0 {
-				delete(r.index, oid)
-			}
-		}
+	g := s.g
+	s.g = nil
+	g.members = slices.DeleteFunc(g.members, func(m *Subscription) bool { return m == s })
+	if len(g.members) > 0 {
+		return
 	}
-	s.influencers = nil
-	s.removed = true
-	if s.key != "" {
-		if r.keyCount[s.key]--; r.keyCount[s.key] <= 0 {
-			delete(r.keyCount, s.key)
-			delete(r.groupStates, s.key)
-		}
-	}
+	g.removed = true
+	delete(r.groups, g.key)
+	delete(r.pending, g)
+	r.reindexLocked(g, nil)
+	g.state, g.region, g.late = nil, nil, nil
 }
 
 // Get returns the subscription with the given ID, if registered.
@@ -453,11 +481,7 @@ func (r *Registry) List() []Info {
 		subs = append(subs, s)
 	}
 	r.mu.Unlock()
-	for i := 1; i < len(subs); i++ {
-		for j := i; j > 0 && subs[j].id < subs[j-1].id; j-- {
-			subs[j], subs[j-1] = subs[j-1], subs[j]
-		}
-	}
+	sort.Slice(subs, func(a, b int) bool { return subs[a].id < subs[b].id })
 	out := make([]Info, len(subs))
 	for i, s := range subs {
 		out[i] = s.Info()
@@ -484,7 +508,7 @@ func (r *Registry) Stats() Stats {
 		Affected:     r.affected.Load(),
 		Evaluations:  r.evaluations.Load(),
 		Sweeps:       r.sweeps.Load(),
-		Groups:       r.groups.Load(),
+		Groups:       r.grouped.Load(),
 		ReusedBudget: r.reused.Load(),
 		Carried:      r.carried.Load(),
 		Emitted:      r.emitted.Load(),
@@ -493,69 +517,67 @@ func (r *Registry) Stats() Stats {
 	}
 }
 
-// NotifyWrite classifies a published write: subscriptions indexed on
-// the object are affected outright; the rest run the touch test
-// against their stored region. Affected subscriptions are marked dirty
-// and enqueued for asynchronous re-evaluation — this call never
-// samples and never blocks on consumers, keeping the ingest path fast.
-// touch is resolved once per write by the caller (it captures the
-// written object against the just-published snapshot).
+// NotifyWrite classifies a published write once per group: an index
+// hit or a group without a region is affected outright; a dirty group
+// is skipped (its owed pass reads this write); a group pass in flight
+// keeps the write to re-test against the region it publishes; any other
+// group runs the touch test. Affected groups are marked dirty for
+// asynchronous re-evaluation — the ingest path never samples.
 func (r *Registry) NotifyWrite(objID int, touch TouchFunc) {
 	r.notifies.Add(1)
 	r.mu.Lock()
-	if r.closed || len(r.subs) == 0 {
-		r.mu.Unlock()
-		return
-	}
 	hit := r.index[objID]
-	var affected []*Subscription
-	type probe struct {
-		s      *Subscription
-		region any
-	}
-	var probes []probe
-	for id, s := range r.subs {
-		if _, ok := hit[id]; ok {
-			affected = append(affected, s)
-			continue
-		}
-		if s.region == nil {
-			// No influence region reported yet (initial evaluation still
-			// in flight, or the query errored): conservatively affected.
-			affected = append(affected, s)
-			continue
-		}
-		probes = append(probes, probe{s, s.region})
-	}
-	r.mu.Unlock()
-
-	// Touch tests run outside the lock: they sweep rectangles over the
-	// query window and must not stall Subscribe/Unsubscribe. The region
-	// value was captured under the lock; regions are immutable once
-	// reported, so testing a stale one is only conservative.
-	for _, p := range probes {
-		r.touchTests.Add(1)
-		if touch(p.region) {
-			affected = append(affected, p.s)
-		}
-	}
-	if len(affected) == 0 {
-		return
-	}
-
-	r.mu.Lock()
-	for _, s := range affected {
-		if s.removed || s.dirty {
-			continue
-		}
-		r.affected.Add(1)
-		s.dirty = true
-		if !s.queued && !s.running {
-			r.pending[s.id] = s
+	var probes []*group
+	var regions []any
+	for _, g := range r.groups {
+		_, isHit := hit[g]
+		switch {
+		case g.dirty:
+		case isHit || g.region == nil:
+			r.markLocked(g)
+		case g.running:
+			g.late = append(g.late, lateWrite{objID, touch})
+		default:
+			probes = append(probes, g)
+			regions = append(regions, g.region)
 		}
 	}
 	r.scheduleSweepLocked()
 	r.mu.Unlock()
+
+	// Touch tests run outside the lock (a router asks a peer). No group
+	// pass of a probed group was running, so its region is its newest; a
+	// pass starting meanwhile reads a snapshot that holds this write.
+	var touched []*group
+	for i, g := range probes {
+		r.touchTests.Add(1)
+		if touch(regions[i]) {
+			touched = append(touched, g)
+		}
+	}
+	if len(touched) == 0 {
+		return
+	}
+	r.mu.Lock()
+	for _, g := range touched {
+		r.markLocked(g)
+	}
+	r.scheduleSweepLocked()
+	r.mu.Unlock()
+}
+
+// markLocked marks g dirty, owing it a pass over every member, and
+// parks it in the pending set unless it is queued or running (a running
+// pass re-queues it when it ends). Callers hold r.mu.
+func (r *Registry) markLocked(g *group) {
+	if g.dirty || g.removed {
+		return
+	}
+	g.dirty = true
+	r.affected.Add(int64(len(g.members)))
+	if !g.queued && !g.running {
+		r.pending[g] = struct{}{}
+	}
 }
 
 // scheduleSweepLocked arranges for the pending dirty set to be drained:
@@ -572,78 +594,50 @@ func (r *Registry) scheduleSweepLocked() {
 		return
 	}
 	if r.sweepTimer == nil {
-		r.sweepTimer = time.AfterFunc(r.sweepInterval, r.sweep)
+		r.sweepTimer = time.AfterFunc(r.sweepInterval, func() {
+			r.mu.Lock()
+			r.sweepTimer = nil
+			r.drainPendingLocked()
+			r.mu.Unlock()
+		})
 	}
 }
 
-func (r *Registry) sweep() {
-	r.mu.Lock()
-	r.sweepTimer = nil
-	r.drainPendingLocked()
-	r.mu.Unlock()
-}
-
-// drainPendingLocked buckets the accumulated dirty subscriptions into
-// compatibility groups and enqueues one evaluation unit per group (one
-// per subscription with grouping off or for unkeyed subscriptions).
-// Members are ordered by ascending ID so grouped evals see a
-// deterministic meta order. Callers hold r.mu.
+// drainPendingLocked enqueues the accumulated dirty groups in key order
+// (a deterministic pass order); a group that a pass took meanwhile is
+// skipped. Callers hold r.mu.
 func (r *Registry) drainPendingLocked() {
 	if r.closed || len(r.pending) == 0 {
 		return
 	}
 	r.sweeps.Add(1)
-	byKey := make(map[string][]*Subscription)
-	var keys []string
-	var singles []*Subscription
-	for _, s := range r.pending {
-		if s.removed || s.queued || s.running {
-			continue
-		}
-		if r.grouping && s.key != "" && r.groupEval != nil {
-			if _, seen := byKey[s.key]; !seen {
-				keys = append(keys, s.key)
-			}
-			byKey[s.key] = append(byKey[s.key], s)
-		} else {
-			singles = append(singles, s)
+	gs := make([]*group, 0, len(r.pending))
+	for g := range r.pending {
+		if g.dirty && !g.queued && !g.running {
+			gs = append(gs, g)
 		}
 	}
-	r.pending = make(map[int64]*Subscription)
-	sortSubsByID(singles)
-	for _, s := range singles {
-		r.enqueueLocked([]*Subscription{s})
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		members := byKey[key]
-		sortSubsByID(members)
-		r.enqueueLocked(members)
+	r.pending = make(map[*group]struct{})
+	sort.Slice(gs, func(a, b int) bool { return gs[a].key < gs[b].key })
+	for _, g := range gs {
+		g.queued = true
+		r.queue = append(r.queue, g)
+		r.work.Signal()
 	}
 }
 
-// enqueueLocked appends one evaluation unit; callers hold r.mu.
-func (r *Registry) enqueueLocked(subs []*Subscription) {
-	for _, s := range subs {
-		s.queued = true
-	}
-	r.queue = append(r.queue, &unit{subs: subs})
-	r.cond.Signal()
-}
-
-// sortSubsByID orders members ascending by registration ID.
-func sortSubsByID(subs []*Subscription) {
-	sort.Slice(subs, func(a, b int) bool { return subs[a].id < subs[b].id })
-}
-
-// WaitIdle blocks until no evaluation is queued or running, or the
-// timeout elapses; it reports whether quiescence was reached. Pending
-// MinInterval coalescing timers do not count — only evaluation work.
+// WaitIdle blocks until no pass is queued or running and no group is
+// dirty, or the timeout elapses; it reports whether quiescence was
+// reached. Pending MinInterval coalescing timers do not count — only
+// evaluation work.
 func (r *Registry) WaitIdle(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		r.mu.Lock()
-		idle := len(r.queue) == 0 && !r.anyBusy()
+		idle := len(r.queue) == 0
+		for _, g := range r.groups {
+			idle = idle && !g.running && g.joining == 0 && !g.dirty && !g.queued
+		}
 		r.mu.Unlock()
 		if idle {
 			return true
@@ -653,17 +647,6 @@ func (r *Registry) WaitIdle(timeout time.Duration) bool {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// anyBusy reports whether any subscription is mid-evaluation or dirty;
-// callers hold r.mu.
-func (r *Registry) anyBusy() bool {
-	for _, s := range r.subs {
-		if s.running || s.dirty || s.queued {
-			return true
-		}
-	}
-	return false
 }
 
 // Close shuts the registry down: workers stop, every subscription
@@ -683,13 +666,11 @@ func (r *Registry) Close() {
 	subs := make([]*Subscription, 0, len(r.subs))
 	for _, s := range r.subs {
 		subs = append(subs, s)
-	}
-	for _, s := range subs {
-		r.drop(s)
+		r.drop(s) // deleting the visited key is safe mid-range
 	}
 	r.queue = nil
-	r.pending = make(map[int64]*Subscription)
-	r.cond.Broadcast()
+	r.work.Broadcast()
+	r.passDone.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()
 	for _, s := range subs {
@@ -697,142 +678,159 @@ func (r *Registry) Close() {
 	}
 }
 
-// worker drains the unit queue, one evaluation pass at a time. Members
-// unsubscribed while queued (a sweep racing an Unsubscribe) are
-// filtered here — their terminal bye already went out; evaluating them
-// would deliver past it.
+// worker drains the group queue, one group pass at a time. A group that
+// is gone, or that has a pass in flight (a subscriber's), is skipped:
+// that pass re-queues it when it ends if it is still dirty.
 func (r *Registry) worker() {
 	defer r.wg.Done()
+	r.mu.Lock()
 	for {
-		r.mu.Lock()
 		for len(r.queue) == 0 && !r.closed {
-			r.cond.Wait()
+			r.work.Wait()
 		}
 		if r.closed {
 			r.mu.Unlock()
 			return
 		}
-		u := r.queue[0]
+		g := r.queue[0]
 		r.queue = r.queue[1:]
-		members := u.subs[:0]
-		for _, s := range u.subs {
-			s.queued = false
-			if s.removed {
-				continue
-			}
-			s.running = true
-			s.dirty = false
-			members = append(members, s)
-		}
-		r.mu.Unlock()
-		if len(members) == 0 {
+		g.queued = false
+		if g.removed || g.running || g.joining > 0 {
 			continue
 		}
-		r.evalUnit(members)
-		for _, s := range members {
-			r.finish(s)
-		}
+		g.running = true
+		r.mu.Unlock()
+		r.runPass(g)
+		r.mu.Lock()
 	}
 }
 
-// finish clears s's running flag and marks it pending again when writes
-// landed mid-evaluation, so the single-flight rule (at most one
-// evaluation of a subscription at a time) never loses the freshest
-// snapshot.
-func (r *Registry) finish(s *Subscription) {
+// runPass runs one group pass of g, whose running flag the caller set
+// (outside r.mu). A dirty group evaluates every member; otherwise the
+// pass answers only the members still waiting for their first event.
+// The pass publishes its influencers, region and state, delivers, marks
+// its members joined, re-tests the writes that arrived meanwhile, and
+// releases the group — re-queuing it when a write dirtied it.
+func (r *Registry) runPass(g *group) {
 	r.mu.Lock()
-	s.running = false
-	if s.dirty && !s.removed && !r.closed && !s.queued {
-		r.pending[s.id] = s
-		r.scheduleSweepLocked()
+	var batch []*Subscription
+	for _, s := range g.members {
+		if g.dirty || !s.joined {
+			batch = append(batch, s)
+		}
 	}
+	g.dirty = false
+	state := g.state
+	r.mu.Unlock()
+
+	if len(batch) > 0 {
+		metas := make([]any, len(batch))
+		for i, s := range batch {
+			metas[i] = s.meta
+		}
+		p := r.groupEval(g.key, metas, state)
+		r.count(p, len(batch))
+		r.mu.Lock()
+		if !g.removed {
+			r.reindexLocked(g, p.Influencers)
+			if p.Region != nil {
+				g.region = p.Region
+			}
+			if p.State != nil {
+				g.state = p.State
+			}
+		}
+		r.mu.Unlock()
+		for i, s := range batch {
+			if i < len(p.Evals) {
+				s.deliver(p.Evals[i])
+			}
+		}
+	}
+
+	r.mu.Lock()
+	for _, s := range batch {
+		s.joined = true
+	}
+	r.retestLateLocked(g)
+	g.running = false
+	r.releaseLocked(g)
 	r.mu.Unlock()
 }
 
-// evalUnit runs one evaluation pass over the unit's members (outside
-// all locks): one grouped GroupEval call when the members share a key
-// and the hook exists, else the members' own closures. Group-state
-// handling is last-wins — concurrent passes over the same key (only
-// possible around subscribe/unsubscribe churn) race benignly on the
-// opaque value, never on registry structures.
-func (r *Registry) evalUnit(members []*Subscription) {
-	key := members[0].key
-	if r.groupEval == nil || key == "" {
-		for _, s := range members {
-			r.evaluations.Add(1)
-			r.applyEval(s, s.eval())
-		}
-		return
-	}
+// count adds one pass over n members to the counters.
+func (r *Registry) count(p Pass, n int) {
 	r.evaluations.Add(1)
-	if len(members) > 1 {
-		r.groups.Add(1)
+	if n > 1 {
+		r.grouped.Add(1)
 	}
-	metas := make([]any, len(members))
-	for i, s := range members {
-		metas[i] = s.meta
-	}
-	r.mu.Lock()
-	state := r.groupStates[key]
-	r.mu.Unlock()
-	evals, newState := r.groupEval(key, metas, state)
-	r.mu.Lock()
-	if _, live := r.keyCount[key]; live && newState != nil {
-		r.groupStates[key] = newState
-	}
-	r.mu.Unlock()
-	budgetReused, carried := false, false
-	for i, s := range members {
-		if i >= len(evals) {
-			break
-		}
-		budgetReused = budgetReused || evals[i].BudgetReused
-		carried = carried || evals[i].Carried
-		r.applyEval(s, evals[i])
-	}
-	if budgetReused {
+	if p.BudgetReused {
 		r.reused.Add(1)
 	}
-	if carried {
+	if p.Carried {
 		r.carried.Add(1)
 	}
 }
 
-// applyEval refreshes the inverted index from the reported influencers
-// and hands the answer to delivery.
-func (r *Registry) applyEval(s *Subscription, ev Eval) {
-	r.mu.Lock()
-	if !s.removed {
-		next := make(map[int]struct{}, len(ev.Influencers))
-		for _, oid := range ev.Influencers {
-			next[oid] = struct{}{}
-		}
-		for oid := range s.influencers {
-			if _, keep := next[oid]; keep {
-				continue
+// releaseLocked follows the end of g's last pass in flight: it parks g
+// for the next sweep when a write dirtied it, and wakes the subscribers
+// waiting on it. Callers hold r.mu.
+func (r *Registry) releaseLocked(g *group) {
+	if g.dirty && !g.queued && !g.removed {
+		r.pending[g] = struct{}{}
+		r.scheduleSweepLocked()
+	}
+	r.passDone.Broadcast()
+}
+
+// retestLateLocked classifies the writes that arrived while g's pass
+// ran, against the influencers and region that pass just published: the
+// written object may be a new influencer, or inside a region that grew.
+// Callers hold r.mu and g's running flag; the lock is released around
+// the tests, and writes landing meanwhile join the next round.
+func (r *Registry) retestLateLocked(g *group) {
+	for len(g.late) > 0 && !g.dirty && !g.removed {
+		late, inf, region := g.late, g.influencers, g.region
+		g.late = nil
+		r.mu.Unlock()
+		touched := false
+		for _, w := range late {
+			if touched = slices.Contains(inf, w.id); !touched {
+				r.touchTests.Add(1)
+				touched = w.touch(region)
 			}
-			if set := r.index[oid]; set != nil {
-				delete(set, s.id)
-				if len(set) == 0 {
-					delete(r.index, oid)
-				}
+			if touched {
+				break
 			}
 		}
-		for oid := range next {
-			set := r.index[oid]
-			if set == nil {
-				set = make(map[int64]struct{})
-				r.index[oid] = set
-			}
-			set[s.id] = struct{}{}
-		}
-		s.influencers = next
-		if ev.Region != nil {
-			s.region = ev.Region
+		r.mu.Lock()
+		if touched {
+			r.markLocked(g)
 		}
 	}
-	r.mu.Unlock()
-	s.deliver(ev)
+	g.late = nil
+}
+
+// reindexLocked replaces g's influencers in the object→groups index;
+// callers hold r.mu.
+func (r *Registry) reindexLocked(g *group, ids []int) {
+	for _, oid := range g.influencers {
+		if set := r.index[oid]; set != nil {
+			delete(set, g)
+			if len(set) == 0 {
+				delete(r.index, oid)
+			}
+		}
+	}
+	for _, oid := range ids {
+		set := r.index[oid]
+		if set == nil {
+			set = make(map[*group]struct{})
+			r.index[oid] = set
+		}
+		set[g] = struct{}{}
+	}
+	g.influencers = ids
 }
 
 // deliver applies the delivery policy to a fresh answer: version

@@ -1,7 +1,11 @@
 package sub
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,23 +14,24 @@ import (
 	"pnn/internal/uncertain"
 )
 
-// fakeEval builds an EvalFunc over a mutable "database": version and
-// answer are read atomically, influencers/region are fixed per call.
+// fakeDB is a mutable "database": version and answer are read
+// atomically.
 type fakeDB struct {
 	version atomic.Int64
 	answer  atomic.Int64
 }
 
-func (db *fakeDB) eval(influencers []int, region any) EvalFunc {
-	return func() Eval {
+// eval returns a GroupEvalFunc that answers every member with the
+// database's current version and answer. A group reports the
+// influencers its key maps to, and its key as its region.
+func (db *fakeDB) eval(influencers map[string][]int) GroupEvalFunc {
+	return func(key string, metas []any, _ any) Pass {
 		a := db.answer.Load()
-		return Eval{
-			Version:     db.version.Load(),
-			Influencers: influencers,
-			Region:      region,
-			Payload:     a,
-			Fingerprint: uint64(a),
+		p := Pass{Evals: make([]Eval, len(metas)), Influencers: influencers[key], Region: key}
+		for i := range p.Evals {
+			p.Evals[i] = Eval{Version: db.version.Load(), Payload: a, Fingerprint: uint64(a)}
 		}
+		return p
 	}
 }
 
@@ -50,10 +55,10 @@ func collect(t *testing.T, s *Subscription, n int) []Event {
 func TestSubscribeInitialEventAndIndex(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
-	r := NewRegistry(2)
+	r := New(Options{Workers: 2, GroupEval: db.eval(map[string][]int{"region": {7, 9}})})
 	defer r.Close()
 
-	s := r.Subscribe(db.eval([]int{7, 9}, "region"), Delivery{}, "meta")
+	s := r.Subscribe("region", Delivery{}, "meta")
 	ev := collect(t, s, 1)[0]
 	if ev.Seq != 1 || ev.Version != 1 || ev.Bye {
 		t.Fatalf("initial event = %+v, want seq 1 version 1", ev)
@@ -103,11 +108,11 @@ func TestSubscribeInitialEventAndIndex(t *testing.T) {
 func TestNotifySkipsUntouchedSubscriptions(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
-	r := NewRegistry(2)
+	r := New(Options{Workers: 2, GroupEval: db.eval(map[string][]int{"near": {1}, "far": {2}})})
 	defer r.Close()
 
-	near := r.Subscribe(db.eval([]int{1}, "near"), Delivery{}, nil)
-	far := r.Subscribe(db.eval([]int{2}, "far"), Delivery{}, nil)
+	near := r.Subscribe("near", Delivery{}, nil)
+	far := r.Subscribe("far", Delivery{}, nil)
 	collect(t, near, 1)
 	collect(t, far, 1)
 
@@ -133,10 +138,10 @@ func TestOnChangeOnlySuppressesEqualAnswers(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
 	db.answer.Store(42)
-	r := NewRegistry(1)
+	r := New(Options{Workers: 1, GroupEval: db.eval(map[string][]int{"r": {1}})})
 	defer r.Close()
 
-	s := r.Subscribe(db.eval([]int{1}, "r"), Delivery{OnChangeOnly: true}, nil)
+	s := r.Subscribe("r", Delivery{OnChangeOnly: true}, nil)
 	collect(t, s, 1)
 
 	// Same answer at a newer version: suppressed.
@@ -165,10 +170,10 @@ func TestMinIntervalCoalescesToLatest(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
 	db.answer.Store(1)
-	r := NewRegistry(1)
+	r := New(Options{Workers: 1, GroupEval: db.eval(map[string][]int{"r": {1}})})
 	defer r.Close()
 
-	s := r.Subscribe(db.eval([]int{1}, "r"), Delivery{MinInterval: 50 * time.Millisecond}, nil)
+	s := r.Subscribe("r", Delivery{MinInterval: 50 * time.Millisecond}, nil)
 	collect(t, s, 1) // opens the interval window
 
 	// Two rapid updates inside the interval: only the latest survives.
@@ -192,10 +197,10 @@ func TestMinIntervalCoalescesToLatest(t *testing.T) {
 func TestQueueOverflowDropsOldestNotWriter(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
-	r := NewRegistry(1)
+	r := New(Options{Workers: 1, GroupEval: db.eval(map[string][]int{"r": {1}})})
 	defer r.Close()
 
-	s := r.Subscribe(db.eval([]int{1}, "r"), Delivery{QueueCap: 2}, nil)
+	s := r.Subscribe("r", Delivery{QueueCap: 2}, nil)
 	// Nobody reads: pile up 5 answers into a 2-slot queue.
 	for v := int64(2); v <= 6; v++ {
 		db.version.Store(v)
@@ -220,10 +225,10 @@ func TestQueueOverflowDropsOldestNotWriter(t *testing.T) {
 func TestUnsubscribeAndCloseSendBye(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
-	r := NewRegistry(1)
+	r := New(Options{Workers: 1, GroupEval: db.eval(map[string][]int{"a": {1}, "b": {2}})})
 
-	a := r.Subscribe(db.eval([]int{1}, "r"), Delivery{}, nil)
-	b := r.Subscribe(db.eval([]int{2}, "r"), Delivery{}, nil)
+	a := r.Subscribe("a", Delivery{}, nil)
+	b := r.Subscribe("b", Delivery{}, nil)
 	collect(t, a, 1)
 	collect(t, b, 1)
 
@@ -259,13 +264,17 @@ func TestUnsubscribeAndCloseSendBye(t *testing.T) {
 func TestVersionsMonotoneUnderConcurrentWrites(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
-	r := NewRegistry(4)
+	const subs = 8
+	influencers := make(map[string][]int, subs)
+	for i := 0; i < subs; i++ {
+		influencers[strconv.Itoa(i)] = []int{i}
+	}
+	r := New(Options{Workers: 4, GroupEval: db.eval(influencers)})
 	defer r.Close()
 
-	const subs = 8
 	var wg sync.WaitGroup
 	for i := 0; i < subs; i++ {
-		s := r.Subscribe(db.eval([]int{i}, "r"), Delivery{QueueCap: 4}, nil)
+		s := r.Subscribe(strconv.Itoa(i), Delivery{QueueCap: 4}, nil)
 		wg.Add(1)
 		go func(s *Subscription) {
 			defer wg.Done()
@@ -314,9 +323,9 @@ func TestVersionsMonotoneUnderConcurrentWrites(t *testing.T) {
 
 // groupEval returns a GroupEvalFunc that answers every member with the
 // database's current version and threads an int counter through the
-// key's carry-over state (nil -> 1 -> 2 -> ...).
+// group's carried state (nil -> 1 -> 2 -> ...).
 func (db *fakeDB) groupEval(record func(n int, state any), gate func()) GroupEvalFunc {
-	return func(key string, metas []any, state any) ([]Eval, any) {
+	return func(key string, metas []any, state any) Pass {
 		if record != nil {
 			record(len(metas), state)
 		}
@@ -324,15 +333,16 @@ func (db *fakeDB) groupEval(record func(n int, state any), gate func()) GroupEva
 			gate()
 		}
 		v := db.version.Load()
-		evals := make([]Eval, len(metas))
-		for i := range evals {
-			evals[i] = Eval{Version: v, Influencers: []int{1}, Region: "r", Payload: v, Fingerprint: uint64(v)}
+		p := Pass{Evals: make([]Eval, len(metas)), Influencers: []int{1}, Region: "r"}
+		for i := range p.Evals {
+			p.Evals[i] = Eval{Version: v, Payload: v, Fingerprint: uint64(v)}
 		}
 		next := 1
 		if n, ok := state.(int); ok {
 			next = n + 1
 		}
-		return evals, next
+		p.State = next
+		return p
 	}
 }
 
@@ -346,8 +356,8 @@ func TestUnsubscribeRacingSweep(t *testing.T) {
 	r := New(Options{Workers: 1, SweepInterval: 100 * time.Millisecond, GroupEval: db.groupEval(nil, nil)})
 	defer r.Close()
 
-	a := r.SubscribeKeyed("k", nil, Delivery{}, "a")
-	b := r.SubscribeKeyed("k", nil, Delivery{}, "b")
+	a := r.Subscribe("k", Delivery{}, "a")
+	b := r.Subscribe("k", Delivery{}, "b")
 	collect(t, a, 1)
 	collect(t, b, 1)
 
@@ -387,8 +397,8 @@ func TestQueueOverflowUnderGroupedBurst(t *testing.T) {
 	r := New(Options{Workers: 1, GroupEval: db.groupEval(nil, nil)})
 	defer r.Close()
 
-	a := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 2}, "a")
-	b := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 2}, "b")
+	a := r.Subscribe("k", Delivery{QueueCap: 2}, "a")
+	b := r.Subscribe("k", Delivery{QueueCap: 2}, "b")
 	collect(t, a, 1)
 	collect(t, b, 1)
 
@@ -416,10 +426,11 @@ func TestQueueOverflowUnderGroupedBurst(t *testing.T) {
 }
 
 // TestGroupStateChurnAndCleanup pins the carry-over state lifecycle
-// under membership churn: state threads pass-to-pass while the key is
+// under membership churn: state threads pass-to-pass while the group is
 // live (including a member subscribing while a grouped pass is in
-// flight, and one unsubscribing mid-pass), and the last unsubscribe
-// deletes it so a fresh same-key subscription starts from nil. The
+// flight, whose initial pass waits for that one and reads its state,
+// and one unsubscribing mid-pass), and the last unsubscribe deletes it
+// so a fresh same-key subscription starts from nil. The
 // state pins objects the way the facade's carried evaluation pins the
 // *uncertain.Object of every row it sampled: the last unsubscribe must
 // release them too.
@@ -454,23 +465,26 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 		objs []*uncertain.Object
 	}
 	var live atomic.Int64
-	ge := func(key string, metas []any, state any) ([]Eval, any) {
+	ge := func(key string, metas []any, state any) Pass {
 		if c, ok := state.(*carry); ok {
 			state = c.n
 		}
-		evals, next := inner(key, metas, state)
+		p := inner(key, metas, state)
 		obj := &uncertain.Object{ID: len(metas)}
 		live.Add(1)
 		runtime.SetFinalizer(obj, func(*uncertain.Object) { live.Add(-1) })
-		return evals, &carry{n: next.(int), objs: []*uncertain.Object{obj}}
+		p.State = &carry{n: p.State.(int), objs: []*uncertain.Object{obj}}
+		return p
 	}
 	r := New(Options{Workers: 1, GroupEval: ge})
 	defer r.Close()
 
-	a := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 8}, "a")
-	b := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 8}, "b")
+	a := r.Subscribe("k", Delivery{QueueCap: 8}, "a")
+	b := r.Subscribe("k", Delivery{QueueCap: 8}, "b")
 	collect(t, a, 1)
 	collect(t, b, 1)
+	// a's initial pass is the group's first group pass and publishes its
+	// state; b's is a join pass, which reads it and publishes nothing.
 	mu.Lock()
 	if len(calls) != 2 || calls[0].state != nil || calls[1].state != 1 {
 		t.Fatalf("initial calls = %+v, want state nil then 1", calls)
@@ -478,7 +492,8 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 	mu.Unlock()
 
 	// A grouped pass blocks in flight; meanwhile one member leaves and
-	// a new one joins the key.
+	// a new one joins the group. The joiner's initial pass cannot start
+	// before the in-flight one ends.
 	blockOn.Store(true)
 	db.version.Store(2)
 	r.NotifyWrite(1, nil)
@@ -486,8 +501,18 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 	if !r.Unsubscribe(b.ID()) {
 		t.Fatal("Unsubscribe(b) = false")
 	}
-	c := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 8}, "c")
+	joined := make(chan *Subscription)
+	go func() { joined <- r.Subscribe("k", Delivery{QueueCap: 8}, "c") }()
+	for r.Len() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-joined:
+		t.Fatal("Subscribe returned while the group's pass was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
 	close(release)
+	c := <-joined
 	if !r.WaitIdle(2 * time.Second) {
 		t.Fatal("registry did not quiesce")
 	}
@@ -500,11 +525,11 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 	if ev := collect(t, c, 1)[0]; ev.Version != 2 {
 		t.Fatalf("joining member got %+v, want its initial answer at version 2", ev)
 	}
-	// c subscribed while the pass held the state; its initial call must
-	// still see a live int (2 from b's initial pass), not nil.
+	// c's initial pass ran alone, after the in-flight pass (state 1 in,
+	// 2 out), and read the state that pass left.
 	mu.Lock()
-	if n := len(calls); calls[n-1].state == nil && calls[n-2].state == nil {
-		t.Fatalf("mid-churn calls lost the carried state: %+v", calls)
+	if n := len(calls); n != 4 || calls[2] != (call{2, 1}) || calls[3] != (call{1, 2}) {
+		t.Fatalf("mid-churn calls = %+v, want the grouped pass {2 1} then c's {1 2}", calls)
 	}
 	mu.Unlock()
 
@@ -513,7 +538,7 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 	r.Unsubscribe(a.ID())
 	r.Unsubscribe(c.ID())
 	r.mu.Lock()
-	_, kept := r.groupStates["k"]
+	_, kept := r.groups["k"]
 	r.mu.Unlock()
 	if kept {
 		t.Fatal("the key's carry outlived its last member")
@@ -525,7 +550,7 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	d := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 8}, "d")
+	d := r.Subscribe("k", Delivery{QueueCap: 8}, "d")
 	collect(t, d, 1)
 	mu.Lock()
 	if last := calls[len(calls)-1]; last.state != nil {
@@ -540,18 +565,18 @@ func TestGroupStateChurnAndCleanup(t *testing.T) {
 // answers, and a pass that sampled does not count.
 func TestCarriedPassesCounted(t *testing.T) {
 	var passes atomic.Int64
-	ge := func(_ string, metas []any, _ any) ([]Eval, any) {
-		carried := passes.Add(1) > 2 // the two registration passes sample
-		evals := make([]Eval, len(metas))
-		for i := range evals {
-			evals[i] = Eval{Version: passes.Load(), Influencers: []int{1}, Region: "r", Carried: carried}
+	ge := func(_ string, metas []any, _ any) Pass {
+		p := Pass{Evals: make([]Eval, len(metas)), Influencers: []int{1}, Region: "r"}
+		p.Carried = passes.Add(1) > 2 // the two registration passes sample
+		for i := range p.Evals {
+			p.Evals[i] = Eval{Version: passes.Load()}
 		}
-		return evals, nil
+		return p
 	}
 	r := New(Options{Workers: 1, GroupEval: ge})
 	defer r.Close()
-	a := r.SubscribeKeyed("k", nil, Delivery{}, "a")
-	b := r.SubscribeKeyed("k", nil, Delivery{}, "b")
+	a := r.Subscribe("k", Delivery{}, "a")
+	b := r.Subscribe("k", Delivery{}, "b")
 	if st := r.Stats(); st.Carried != 0 {
 		t.Fatalf("registration passes counted %d carried", st.Carried)
 	}
@@ -567,31 +592,27 @@ func TestCarriedPassesCounted(t *testing.T) {
 }
 
 // TestRegistryAccessorsAndSweepToggles covers the read surface (Get,
-// List, Meta) plus the runtime toggles: a pending invalidation drains
-// immediately when the sweep interval drops to zero, and with grouping
-// disabled a keyed pair evaluates as two single-member passes (state
-// still carried).
+// List) plus the sweep toggle: a pending invalidation drains
+// immediately when the sweep interval drops to zero, and later writes
+// sweep one by one.
 func TestRegistryAccessorsAndSweepToggles(t *testing.T) {
 	db := &fakeDB{}
 	db.version.Store(1)
 	r := New(Options{Workers: 1, SweepInterval: time.Hour, GroupEval: db.groupEval(nil, nil)})
 	defer r.Close()
 
-	a := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 8}, "meta-a")
-	b := r.SubscribeKeyed("k", nil, Delivery{QueueCap: 8}, "meta-b")
+	a := r.Subscribe("k", Delivery{QueueCap: 8}, "meta-a")
+	b := r.Subscribe("k", Delivery{QueueCap: 8}, "meta-b")
 	collect(t, a, 1)
 	collect(t, b, 1)
-	if a.Meta() != "meta-a" {
-		t.Fatalf("Meta = %v", a.Meta())
-	}
 	if got, ok := r.Get(a.ID()); !ok || got != a {
 		t.Fatalf("Get(%d) = %v, %v", a.ID(), got, ok)
 	}
 	if _, ok := r.Get(9999); ok {
 		t.Fatal("Get(9999) found a subscription")
 	}
-	if infos := r.List(); len(infos) != 2 || infos[0].ID != a.ID() || infos[1].ID != b.ID() {
-		t.Fatalf("List = %+v, want [a b] ascending", infos)
+	if infos := r.List(); len(infos) != 2 || infos[0].ID != a.ID() || infos[1].ID != b.ID() || infos[0].Meta != "meta-a" {
+		t.Fatalf("List = %+v, want [a b] ascending with their metas", infos)
 	}
 
 	// An hour-long sweep interval parks the write in the pending set;
@@ -616,20 +637,211 @@ func TestRegistryAccessorsAndSweepToggles(t *testing.T) {
 		t.Fatalf("stats = %+v, want a grouped pass from the drained sweep", grouped)
 	}
 
-	// Grouping off: the same write shape costs one pass per member.
-	r.SetGrouping(false)
+	// With the interval at zero every write sweeps at once: one pass
+	// answers the whole group.
 	db.version.Store(3)
 	r.NotifyWrite(1, nil)
 	if !r.WaitIdle(2 * time.Second) {
-		t.Fatal("registry did not quiesce with grouping disabled")
+		t.Fatal("registry did not quiesce after a per-write sweep")
 	}
 	st := r.Stats()
-	if st.Evaluations-grouped.Evaluations != 2 {
-		t.Fatalf("ungrouped write cost %d passes, want 2", st.Evaluations-grouped.Evaluations)
+	if st.Evaluations-grouped.Evaluations != 1 || st.Groups-grouped.Groups != 1 || st.Sweeps-grouped.Sweeps != 1 {
+		t.Fatalf("per-write sweep: stats %+v after %+v, want one sweep of one grouped pass", st, grouped)
 	}
-	if st.Groups != grouped.Groups {
-		t.Fatalf("Groups advanced to %d with grouping disabled", st.Groups)
+	for _, s := range []*Subscription{a, b} {
+		if ev := collect(t, s, 1)[0]; ev.Version != 3 {
+			t.Fatalf("sub %d got %+v, want version 3", s.ID(), ev)
+		}
 	}
-	collect(t, a, 1)
-	collect(t, b, 1)
+}
+
+// knnDB is the fake world of TestRegistryInterleavingProperty: objects
+// on a line, and per group a 2-NN query at the point its key names. A
+// write publishes a new snapshot and then notifies, as the facade does,
+// and a pass reads one snapshot when it starts.
+type knnDB struct {
+	mu   sync.Mutex
+	snap atomic.Pointer[knnSnap]
+}
+
+type knnSnap struct {
+	version int64
+	pos     []int
+}
+
+// knnRegion is a group's influence region: its query point and the
+// distance of its k-th nearest object. An object that is not among the
+// k nearest and moves to a point farther than reach cannot enter them.
+type knnRegion struct{ q, reach int }
+
+const knnK = 2
+
+func absInt(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// nearest returns the IDs of the k objects nearest q, ties by ID, and
+// the k-th distance.
+func (s *knnSnap) nearest(q int) ([]int, int) {
+	ids := make([]int, len(s.pos))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		da, db := absInt(s.pos[ids[a]]-q), absInt(s.pos[ids[b]]-q)
+		if da != db {
+			return da < db
+		}
+		return ids[a] < ids[b]
+	})
+	ids = ids[:knnK]
+	return ids, absInt(s.pos[ids[knnK-1]] - q)
+}
+
+func knnPayload(ids []int, meta any) string { return fmt.Sprint(ids, meta) }
+
+func (db *knnDB) eval(key string, metas []any, _ any) Pass {
+	s := db.snap.Load()
+	q, _ := strconv.Atoi(key)
+	ids, reach := s.nearest(q)
+	// Hold the pass open so writes land while it runs.
+	time.Sleep(200 * time.Microsecond)
+	p := Pass{Evals: make([]Eval, len(metas)), Influencers: ids, Region: knnRegion{q, reach}}
+	for i, m := range metas {
+		p.Evals[i] = Eval{Version: s.version, Payload: knnPayload(ids, m)}
+	}
+	return p
+}
+
+// write moves object o to x and returns the write's touch test.
+func (db *knnDB) write(o, x int) TouchFunc {
+	db.mu.Lock()
+	old := db.snap.Load()
+	pos := append([]int(nil), old.pos...)
+	pos[o] = x
+	db.snap.Store(&knnSnap{version: old.version + 1, pos: pos})
+	db.mu.Unlock()
+	return func(region any) bool {
+		rg := region.(knnRegion)
+		return absInt(x-rg.q) <= rg.reach
+	}
+}
+
+// TestRegistryInterleavingProperty interleaves Subscribe, Unsubscribe
+// and NotifyWrite from several seeded goroutines against a fake k-NN
+// world whose influence regions move with every write. After WaitIdle,
+// every live member's last event must equal a fresh evaluation at the
+// final snapshot, every stream must number its events 1, 2, 3, ...
+// with strictly rising versions, and a write must cost at most one
+// touch test per group.
+func TestRegistryInterleavingProperty(t *testing.T) {
+	for _, sweep := range []time.Duration{0, 300 * time.Microsecond} {
+		t.Run(fmt.Sprintf("sweep-%dus", sweep.Microseconds()), func(t *testing.T) {
+			runInterleaving(t, sweep)
+		})
+	}
+}
+
+func runInterleaving(t *testing.T, sweep time.Duration) {
+	const objects, writers, ops = 12, 4, 150
+	keys := []string{"10", "40", "70", "95"}
+	db := &knnDB{}
+	rng := rand.New(rand.NewSource(1))
+	pos := make([]int, objects)
+	for i := range pos {
+		pos[i] = rng.Intn(100)
+	}
+	db.snap.Store(&knnSnap{version: 1, pos: pos})
+	r := New(Options{Workers: 2, GroupEval: db.eval, SweepInterval: sweep})
+
+	type member struct {
+		s    *Subscription
+		key  string
+		meta int
+		evs  chan []Event // the reader's events once the channel closes
+	}
+	var mu sync.Mutex
+	var members []*member
+	var writes atomic.Int64
+	var wg sync.WaitGroup
+	for w := 1; w <= writers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var mine []*member
+			for i := 0; i < ops; i++ {
+				switch x := rng.Intn(10); {
+				case x < 6:
+					o := rng.Intn(objects)
+					touch := db.write(o, rng.Intn(100))
+					writes.Add(1)
+					r.NotifyWrite(o, touch)
+				case x < 8 || len(mine) == 0:
+					m := &member{key: keys[rng.Intn(len(keys))], meta: int(seed)*1000 + i, evs: make(chan []Event, 1)}
+					// No stream can drop: at most writers*ops events fit.
+					m.s = r.Subscribe(m.key, Delivery{QueueCap: writers * ops}, m.meta)
+					go func() {
+						var evs []Event
+						for e := range m.s.Events() {
+							evs = append(evs, e)
+						}
+						m.evs <- evs
+					}()
+					mine = append(mine, m)
+					mu.Lock()
+					members = append(members, m)
+					mu.Unlock()
+				default:
+					k := rng.Intn(len(mine))
+					r.Unsubscribe(mine[k].s.ID())
+					mine = append(mine[:k], mine[k+1:]...)
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	if !r.WaitIdle(10 * time.Second) {
+		t.Fatal("registry did not quiesce")
+	}
+	live := make(map[int64]bool)
+	for _, info := range r.List() {
+		live[info.ID] = true
+	}
+	st := r.Stats()
+	final := db.snap.Load()
+	r.Close()
+
+	for _, m := range members {
+		evs := <-m.evs
+		if len(evs) < 2 || !evs[len(evs)-1].Bye {
+			t.Fatalf("sub %d: stream %+v, want at least an answer and a closing bye", m.s.ID(), evs)
+		}
+		lastVer := int64(0)
+		for i, e := range evs {
+			if e.Seq != int64(i+1) || e.Dropped != 0 {
+				t.Fatalf("sub %d: event %d is %+v, want seq %d and nothing dropped", m.s.ID(), i, e, i+1)
+			}
+			if !e.Bye && e.Version <= lastVer {
+				t.Fatalf("sub %d: version %d after %d", m.s.ID(), e.Version, lastVer)
+			}
+			lastVer = e.Version
+		}
+		if !live[m.s.ID()] {
+			continue
+		}
+		q, _ := strconv.Atoi(m.key)
+		ids, _ := final.nearest(q)
+		if got, want := evs[len(evs)-2].Payload, knnPayload(ids, m.meta); got != want {
+			t.Errorf("sub %d (group %s): last answer %v at version %d, want %v at version %d",
+				m.s.ID(), m.key, got, evs[len(evs)-2].Version, want, final.version)
+		}
+	}
+	if limit := int64(len(keys)) * writes.Load(); st.TouchTests > limit {
+		t.Errorf("%d touch tests for %d writes over %d groups, want at most %d", st.TouchTests, writes.Load(), len(keys), limit)
+	}
+	t.Logf("%d writes, %d members (%d live), %d touch tests, %d passes", writes.Load(), len(members), len(live), st.TouchTests, st.Evaluations)
 }

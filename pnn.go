@@ -357,14 +357,6 @@ func (p *Processor) Observe(id int, obs ...Observation) (Ingest, error) {
 // successive calls return non-decreasing values.
 func (p *Processor) Version() int64 { return p.set.Version() }
 
-// SnapshotInfo returns the version and object count of one and the same
-// current composite snapshot — the pair callers should use when both
-// values must be consistent under concurrent writes.
-func (p *Processor) SnapshotInfo() (version int64, objects int) {
-	snap := p.set.Snapshot()
-	return snap.Version, snap.NumObjects()
-}
-
 // Query is a certain reference position per timestep.
 type Query = query.Query
 

@@ -51,11 +51,12 @@ type influenceRegion struct {
 // sweeps).
 const DefaultSweepInterval = 2 * time.Millisecond
 
-// Subscribe registers req as a standing query: it is evaluated once
-// immediately (the first event on the returned subscription's channel,
-// seq 1) and re-evaluated after every AddObject/Observe whose object
-// touches the query's influence region. Every event carries a full
-// Response plus the snapshot version it answers for, and the
+// Subscribe registers req as a standing query: it is evaluated before
+// Subscribe returns (the first event on the returned subscription's
+// channel, seq 1; when a pass of its compatibility group is in flight,
+// by the pass after it) and re-evaluated after every AddObject/Observe
+// whose object touches the query's influence region. Every event
+// carries a full Response plus the snapshot version it answers for, and the
 // determinism contract of one-shot queries extends to standing ones: a
 // delivered event at version V is byte-identical to Run(req') against
 // the version-V snapshot, where req' is req with MinWorlds raised to
@@ -88,14 +89,11 @@ const DefaultSweepInterval = 2 * time.Millisecond
 // must drain Events() until the terminal Bye event (sent by
 // Unsubscribe and CloseSubscriptions), after which the channel closes.
 func (e *Executor) Subscribe(req Request, d Delivery) (*Subscription, error) {
-	if _, _, err := normalizeRequest(req); err != nil {
+	spec, item, err := NormalizeRequest(req)
+	if err != nil {
 		return nil, err
 	}
-	eval := func() sub.Eval {
-		evals, _ := e.evalStandingGroup("", []any{req}, nil)
-		return evals[0]
-	}
-	return e.subs.SubscribeKeyed(standingKey(req), eval, d, req), nil
+	return e.subs.Subscribe(standingKey(spec, item), d, req), nil
 }
 
 // standingKey is the compatibility-group key of a standing request: the
@@ -107,12 +105,7 @@ func (e *Executor) Subscribe(req Request, d Delivery) (*Subscription, error) {
 // estimates separate — so adaptive requests group only with identical
 // (semantics, tau): then the duplicate bounds are no-ops and the
 // grouped stop point equals each member's solo stop point exactly.
-// Invalid requests key to "" (never grouped).
-func standingKey(req Request) string {
-	spec, item, err := NormalizeRequest(req)
-	if err != nil {
-		return ""
-	}
+func standingKey(spec shard.GroupSpec, item shard.GroupItem) string {
 	buf := []byte(groupKey(spec))
 	var tmp [8]byte
 	put := func(u uint64) {
@@ -166,12 +159,6 @@ func (e *Executor) CloseSubscriptions() { e.subs.Close() }
 // latency; 0 sweeps on every write.
 func (e *Executor) SetSweepInterval(d time.Duration) { e.subs.SetSweepInterval(d) }
 
-// SetSubscriptionGrouping toggles grouped re-evaluation of compatible
-// standing queries (default on). Off, every sweep re-evaluates touched
-// subscriptions one by one — the baseline the fanout benchmark
-// measures grouping against. Answer bytes are identical either way.
-func (e *Executor) SetSubscriptionGrouping(enabled bool) { e.subs.SetGrouping(enabled) }
-
 // NotifyWrite classifies one published write of object id for the
 // standing queries. touch reports whether the written object may come
 // within bound[t-ts] of q at some t in [ts, te] — the stored influence
@@ -203,10 +190,10 @@ type standingState struct {
 	carry  *shard.Carry
 }
 
-// evalStandingGroup is the registry's GroupEval hook: it re-evaluates
-// every member of one compatibility group as a single shared-world
+// evalStandingGroup is the registry's GroupEval hook: it evaluates the
+// given members of one compatibility group as a single shared-world
 // group on a fresh view, threading the group's state through.
-func (e *Executor) evalStandingGroup(_ string, metas []any, state any) ([]sub.Eval, any) {
+func (e *Executor) evalStandingGroup(_ string, metas []any, state any) sub.Pass {
 	reqs := make([]Request, len(metas))
 	for i, m := range metas {
 		reqs[i], _ = m.(Request)
@@ -217,20 +204,21 @@ func (e *Executor) evalStandingGroup(_ string, metas []any, state any) ([]sub.Ev
 // runStandingGroup answers every member of one compatible standing
 // group over ONE shared-world evaluation — same spec, same RunGroup
 // path as the one-shot — so each member's bytes match a fresh one-shot
-// at the same version, seed and floor; it additionally exports the
-// influence region for the write-path touch test, and the adaptive stop
-// point and the evaluation itself (state) for the next pass to reuse.
-// All members share the spec (their compatibility key pins query,
-// window, k, seed, policy and floor; tau and semantics too under an
-// adaptive policy), so member i differs only in its GroupItem.
-func runStandingGroup(v View, reqs []Request, state any) ([]sub.Eval, any) {
-	evals := make([]sub.Eval, len(reqs))
-	fail := func(vi VersionInfo, err error) ([]sub.Eval, any) {
-		for i := range evals {
-			resp := Response{Version: vi, Err: err}
-			evals[i] = sub.Eval{Version: vi.Max, Payload: resp, Fingerprint: fingerprintResponse(resp)}
+// at the same version, seed and floor; it additionally reports the
+// group's influencers and influence region for the write-path index,
+// and the adaptive stop point and the evaluation itself (state) for the
+// next pass to reuse. All members share the spec (their compatibility
+// key pins query, window, k, seed, policy and floor; tau and semantics
+// too under an adaptive policy), so member i differs only in its
+// GroupItem.
+func runStandingGroup(v View, reqs []Request, state any) sub.Pass {
+	p := sub.Pass{Evals: make([]sub.Eval, len(reqs))}
+	fail := func(vi VersionInfo, err error) sub.Pass {
+		resp := Response{Version: vi, Err: err}
+		for i := range p.Evals {
+			p.Evals[i] = sub.Eval{Version: vi.Max, Payload: resp, Fingerprint: fingerprintResponse(resp)}
 		}
-		return evals, state
+		return p
 	}
 	spec, _, err := NormalizeRequest(reqs[0])
 	if err != nil {
@@ -246,10 +234,9 @@ func runStandingGroup(v View, reqs []Request, state any) ([]sub.Eval, any) {
 	if prev == nil {
 		prev = &standingState{}
 	}
-	reused := false
 	if spec.Conf.Enabled() && prev.worlds > spec.MinWorlds {
 		spec.MinWorlds = prev.worlds
-		reused = true
+		p.BudgetReused = true
 	}
 	run, err := runGroup(v, spec, items, prev.carry)
 	if err != nil {
@@ -259,25 +246,17 @@ func runStandingGroup(v View, reqs []Request, state any) ([]sub.Eval, any) {
 	if spec.Conf.Enabled() && run.Stats.Worlds > 0 {
 		next.worlds = run.Stats.Worlds
 	}
-	region := &influenceRegion{q: spec.Q, ts: spec.Ts, te: spec.Te, bound: run.Influence.PruneDist}
+	p.State = next
+	p.Influencers = run.Influence.IDs
+	p.Region = &influenceRegion{q: spec.Q, ts: spec.Ts, te: spec.Te, bound: run.Influence.PruneDist}
+	p.Carried = run.Carry.Replayed()
 	for i, resp := range respond(spec, items, run) {
 		resp.Stats.SamplerBuilds = run.Stats.SamplerBuilds
 		resp.Stats.GroupSize = len(reqs)
-		resp.Stats.BudgetReused = reused
-		ev := sub.Eval{
-			Version:      run.Version.Max,
-			Payload:      resp,
-			Fingerprint:  fingerprintResponse(resp),
-			BudgetReused: reused,
-			Carried:      run.Carry.Replayed(),
-		}
-		if resp.Err == nil {
-			ev.Influencers = run.Influence.IDs
-			ev.Region = region
-		}
-		evals[i] = ev
+		resp.Stats.BudgetReused = p.BudgetReused
+		p.Evals[i] = sub.Eval{Version: run.Version.Max, Payload: resp, Fingerprint: fingerprintResponse(resp)}
 	}
-	return evals, next
+	return p
 }
 
 // fingerprintResponse condenses a Response's answer — results,

@@ -141,9 +141,9 @@ func TestSubscriptionGroupMatchesOneShot(t *testing.T) {
 }
 
 // TestSubscriptionGroupingReducesEvaluations is the fanout perf
-// contract at the unit level: with 200 standing queries over 10 shapes,
-// a touching write costs ~10 grouped passes; with grouping disabled the
-// same write costs 200. The grouped path must save at least 3x.
+// contract at the unit level: 200 standing queries over 10 shapes are
+// 10 groups, so a write that touches all of them costs one touch test
+// and one evaluation pass per group, while every member is affected.
 func TestSubscriptionGroupingReducesEvaluations(t *testing.T) {
 	net, db, err := SyntheticDataset(400, 8, 60, 60, 100, 5, 13)
 	if err != nil {
@@ -167,26 +167,27 @@ func TestSubscriptionGroupingReducesEvaluations(t *testing.T) {
 			}
 		}
 	}
-	measure := func(id int) int64 {
-		t.Helper()
-		base := proc.SubscriptionStats()
-		if _, err := proc.AddObject(id, []Observation{{T: 42, State: qs}}); err != nil {
-			t.Fatal(err)
-		}
-		if !proc.WaitSubscriptionsIdle(30 * time.Second) {
-			t.Fatal("subscriptions did not quiesce")
-		}
-		return proc.SubscriptionStats().Evaluations - base.Evaluations
+	if !proc.WaitSubscriptionsIdle(30 * time.Second) {
+		t.Fatal("initial evaluations did not quiesce")
 	}
-	grouped := measure(30000)
-	proc.SetSubscriptionGrouping(false)
-	ungrouped := measure(30001)
-	if grouped*3 > ungrouped {
-		t.Fatalf("grouped write cost %d evaluation passes, ungrouped %d; want >= 3x savings", grouped, ungrouped)
+	// A new object parked at the shared query state: no group indexes it,
+	// and every group's region holds it.
+	base := proc.SubscriptionStats()
+	if _, err := proc.AddObject(30000, []Observation{{T: 42, State: qs}}); err != nil {
+		t.Fatal(err)
 	}
-	if ungrouped < shapes*perShape {
-		t.Errorf("ungrouped write cost %d passes, want >= %d (every touched subscription evaluates alone)",
-			ungrouped, shapes*perShape)
+	if !proc.WaitSubscriptionsIdle(30 * time.Second) {
+		t.Fatal("subscriptions did not quiesce")
+	}
+	st := proc.SubscriptionStats()
+	if tests := st.TouchTests - base.TouchTests; tests != shapes {
+		t.Errorf("write ran %d touch tests, want one per group (%d)", tests, shapes)
+	}
+	if affected := st.Affected - base.Affected; affected != shapes*perShape {
+		t.Errorf("write affected %d subscriptions, want all %d", affected, shapes*perShape)
+	}
+	if evals := st.Evaluations - base.Evaluations; evals != shapes {
+		t.Errorf("write cost %d evaluation passes, want one per touched group (%d)", evals, shapes)
 	}
 	proc.CloseSubscriptions()
 }
