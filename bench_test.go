@@ -405,7 +405,7 @@ func BenchmarkAblationWindowSampling(b *testing.B) {
 // re-evaluations it triggers, so ns/op is the end-to-end per-update
 // cost, evals/write counts evaluation passes (the fanout scoreboard —
 // full per-sub fan-out would be 1000 per op) and ms/write restates
-// ns/op in milliseconds for the benchdiff gate. Two populations:
+// ns/op in milliseconds. Two populations:
 //
 //   - spread: 1000 distinct query shapes — every touched subscription
 //     is a group of one and pays its own pass.

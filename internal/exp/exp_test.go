@@ -64,6 +64,24 @@ func TestFig6Shape(t *testing.T) {
 	}
 }
 
+func TestFig7Shape(t *testing.T) {
+	skipHeavy(t)
+	table, err := Fig7(TinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More transitions per state → larger diamonds, so more influencers
+	// and a costlier adaptation, from b = 6 to b = 10.
+	if num(t, table, 2, "|I(q)|") <= num(t, table, 0, "|I(q)|") {
+		t.Errorf("influencers should grow with b: %s vs %s",
+			table.Cell(0, "|I(q)|"), table.Cell(2, "|I(q)|"))
+	}
+	if num(t, table, 2, "TS(ms)") <= num(t, table, 0, "TS(ms)") {
+		t.Errorf("TS should grow with b: %s vs %s",
+			table.Cell(0, "TS(ms)"), table.Cell(2, "TS(ms)"))
+	}
+}
+
 func TestFig8Shape(t *testing.T) {
 	skipHeavy(t)
 	table, err := Fig8(TinyConfig())

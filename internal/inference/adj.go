@@ -78,9 +78,10 @@ type adjBuilder struct {
 	slot   []int32
 	stamp  []uint32
 	gen    uint32
-	rows   []int32  // slot → row state
-	counts []int32  // slot → entries in the row
-	tris   []triple // the sweeps' triple buffer, kept between gaps
+	rows   []int32      // slot → row state
+	counts []int32      // slot → entries in the row
+	tris   []triple     // the sweeps' triple buffer, kept between gaps
+	alias  aliasScratch // the draw-table build's work lists (AdaptGapTable)
 }
 
 func newAdjBuilder() *adjBuilder { return &adjBuilder{} }

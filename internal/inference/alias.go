@@ -9,7 +9,8 @@ package inference
 
 // aliasScratch holds the work lists of Vose's construction plus a
 // state → row scatter index, all reused across the rows and timesteps
-// of one sampler build.
+// of one sampler build, and across the gap-table builds of one pooled
+// adjBuilder (AdaptGapTable).
 type aliasScratch struct {
 	scaled       []float64
 	small, large []int32
@@ -125,7 +126,7 @@ func aliasPick(u uint64, n int) (slot int, frac float64) {
 // table's alias slots are row-local uint16 offsets.
 const maxRowWidth = 1<<16 - 1
 
-// gapTable holds the draw tables of one observation gap, between
+// GapTable holds the draw tables of one observation gap, between
 // observations a and b — what a trajectory draw reads there and nothing
 // else. Tic i of the gap (time a.T+i) owns a run of rows, one per state
 // F(a.T+i) leaves from, laid out tic after tic; row r owns the slots
@@ -135,8 +136,8 @@ const maxRowWidth = 1<<16 - 1
 //
 // The arrays hold no pointers and never change once built, so the
 // samplers of an object's versions share the tables of the gaps they
-// have in common.
-type gapTable struct {
+// have in common: the UST-tree keeps each gap's table in its gap record.
+type GapTable struct {
 	src   []int32   // state of each row
 	off   []int32   // len(src)+1 slot offsets
 	prob  []float64 // alias acceptance threshold per slot
@@ -153,7 +154,7 @@ type gapTable struct {
 }
 
 // newGapTable builds the draw tables of gap model gm.
-func newGapTable(gm *gapModel, sc *aliasScratch) *gapTable {
+func newGapTable(gm *gapModel, sc *aliasScratch) *GapTable {
 	n := len(gm.f)
 	rows, slots, ents := 0, 0, 0
 	for i, f := range gm.f {
@@ -170,7 +171,7 @@ func newGapTable(gm *gapModel, sc *aliasScratch) *gapTable {
 		ints = ints[k:]
 		return s
 	}
-	gt := &gapTable{
+	gt := &GapTable{
 		src:      carve(rows),
 		off:      carve(rows + 1),
 		next:     carve(slots),
@@ -225,7 +226,7 @@ func newGapTable(gm *gapModel, sc *aliasScratch) *gapTable {
 
 // step draws the successor of the state at row `row` from one 64-bit
 // uniform draw and returns its row, at the next tic.
-func (gt *gapTable) step(row int, u uint64) int {
+func (gt *GapTable) step(row int, u uint64) int {
 	lo, hi := int(gt.off[row]), int(gt.off[row+1])
 	slot, frac := aliasPick(u, hi-lo)
 	k := lo + slot
@@ -236,7 +237,7 @@ func (gt *gapTable) step(row int, u uint64) int {
 }
 
 // entry draws the row of the state at tic i from its entry distribution.
-func (gt *gapTable) entry(i int, u uint64) int {
+func (gt *GapTable) entry(i int, u uint64) int {
 	lo, hi := int(gt.ent[i]), int(gt.ent[i+1])
 	slot, frac := aliasPick(u, hi-lo)
 	k := lo + slot

@@ -21,7 +21,7 @@ type Sampler struct {
 	start, end int
 	// gaps[g] holds the draw tables of the gap between observations g
 	// and g+1.
-	gaps []*gapTable
+	gaps []*GapTable
 	// enter[g] is the row of observation g's state in gaps[g]: where a
 	// walk continues after stepping onto that observation from gap g-1.
 	// Kept here, not in gap g-1's table, so that no table depends on the
@@ -30,54 +30,43 @@ type Sampler struct {
 }
 
 // NewSampler builds the draw tables of the adapted model. The tables live
-// as long as the sampler, which engines cache per object — the build cost
-// is paid once per adaptation, the O(1) draws on every one of the
-// millions of transitions sampled after.
+// as long as the sampler — the build cost is paid once per adaptation,
+// the O(1) draws on every one of the millions of transitions sampled
+// after. Servers build the same tables gap by gap instead
+// (AdaptGapTable, AssembleSampler), without holding a whole Model.
 func NewSampler(m *Model) *Sampler {
-	gaps := make([]*gapTable, len(m.gaps))
+	gaps := make([]*GapTable, len(m.gaps))
 	sc := &aliasScratch{}
 	for g := range m.gaps {
 		gaps[g] = newGapTable(&m.gaps[g], sc)
 	}
-	return newSampler(m.obj, gaps)
+	return AssembleSampler(m.obj, gaps)
 }
 
-// ExtendSampler builds the sampler of upd given the sampler of an earlier
-// version of the object (nil: none, a full build): every observation gap
-// the two share keeps prev's draw tables, and Algorithm 2 and the table
-// construction run only over the gaps prev lacks — one for an appended
-// observation. Each new gap's adapted matrices and marginals live only
-// until its tables are built. The result draws exactly what
-// NewSampler(AdaptShared(upd)) draws. prev is only read and stays usable,
-// also when upd contradicts its chain, which returns AdaptShared's error.
-func ExtendSampler(prev *Sampler, upd *uncertain.Object, reach *uncertain.Reach) (*Sampler, error) {
+// AdaptGapTable runs Algorithm 2 over observation gap g of o and builds
+// that gap's draw tables: what NewSampler(AdaptShared(o, reach)) keeps of
+// the gap, at the cost of the gap alone. The gap's adapted matrices and
+// marginals live only until its tables are built. A gap's tables are a
+// function of its two observations and the chain, so every version of an
+// object that has the gap can share them. Contradicting observations
+// return AdaptShared's error.
+func AdaptGapTable(o *uncertain.Object, g int, reach *uncertain.Reach) (*GapTable, error) {
 	if reach == nil {
 		reach = uncertain.NewReach()
 	}
-	var seen *uncertain.Object
-	if prev != nil {
-		seen = prev.obj
-	}
-	gaps := make([]*gapTable, len(upd.Obs)-1)
 	bld := builders.Get().(*adjBuilder)
 	defer builders.Put(bld)
-	sc := &aliasScratch{}
-	for g, pg := range upd.SameGaps(seen) {
-		if pg >= 0 {
-			gaps[g] = prev.gaps[pg]
-			continue
-		}
-		gm, err := adaptGap(upd, g, reach, bld)
-		if err != nil {
-			return nil, err
-		}
-		gaps[g] = newGapTable(&gm, sc)
+	gm, err := adaptGap(o, g, reach, bld)
+	if err != nil {
+		return nil, err
 	}
-	return newSampler(upd, gaps), nil
+	return newGapTable(&gm, &bld.alias), nil
 }
 
-// newSampler assembles the sampler of o from the tables of its gaps.
-func newSampler(o *uncertain.Object, gaps []*gapTable) *Sampler {
+// AssembleSampler returns the sampler of o that draws gap g from
+// gaps[g], the tables of o's gap g (AdaptGapTable); a single-observation
+// object has none. The sampler only reads the tables.
+func AssembleSampler(o *uncertain.Object, gaps []*GapTable) *Sampler {
 	s := &Sampler{obj: o, start: o.First().T, end: o.Last().T, gaps: gaps, enter: make([]int32, len(gaps))}
 	for g, gt := range gaps {
 		// The entry distribution at a gap's first tic is its observation.

@@ -236,3 +236,36 @@ func TestSamplerDrawsPinned(t *testing.T) {
 		t.Errorf("Sample drew %v, want %v", p.States, want)
 	}
 }
+
+// walkObservations returns a random walk of the chain observed every
+// few tics: n observations, always consistent with the chain.
+func walkObservations(chain markov.Chain, states, n int, rng *rand.Rand) []uncertain.Observation {
+	cur := rng.Intn(states)
+	obs := []uncertain.Observation{{T: 0, State: cur}}
+	for t := 1; len(obs) < n; t++ {
+		cols, vals := chain.At(t - 1).Row(cur)
+		u, acc := rng.Float64(), 0.0
+		next := int(cols[len(cols)-1])
+		for k, v := range vals {
+			if acc += v; u <= acc {
+				next = int(cols[k])
+				break
+			}
+		}
+		cur = next
+		if t >= obs[len(obs)-1].T+2+rng.Intn(5) {
+			obs = append(obs, uncertain.Observation{T: t, State: cur})
+		}
+	}
+	return obs
+}
+
+// fullSampler is the reference build: Algorithm 2 over the whole object.
+func fullSampler(t testing.TB, o *uncertain.Object) *Sampler {
+	t.Helper()
+	m, err := AdaptShared(o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewSampler(m)
+}

@@ -40,15 +40,20 @@ func benchTaxi(tb testing.TB) *datagen.Dataset {
 	return ds
 }
 
-// servedSamplers builds the sampler of every object as a server does.
+// servedSamplers builds the sampler of every object as a server does:
+// gap by gap, then assembled.
 func servedSamplers(tb testing.TB, ds *datagen.Dataset, reach *uncertain.Reach) []*Sampler {
 	tb.Helper()
 	ss := make([]*Sampler, len(ds.Objects))
 	for i, o := range ds.Objects {
-		var err error
-		if ss[i], err = ExtendSampler(nil, o, reach); err != nil {
-			tb.Fatal(err)
+		gaps := make([]*GapTable, len(o.Obs)-1)
+		for g := range gaps {
+			var err error
+			if gaps[g], err = AdaptGapTable(o, g, reach); err != nil {
+				tb.Fatal(err)
+			}
 		}
+		ss[i] = AssembleSampler(o, gaps)
 	}
 	return ss
 }
@@ -114,9 +119,9 @@ func TestRowWidthLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ExtendSampler(nil, o, nil)
+	_, err = AdaptGapTable(o, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "object 7 state 0 at t=0") {
-		t.Fatalf("ExtendSampler error = %v, want the object and state named", err)
+		t.Fatalf("AdaptGapTable error = %v, want the object and state named", err)
 	}
 	if _, aerr := Adapt(o); aerr == nil || aerr.Error() != err.Error() {
 		t.Fatalf("Adapt error = %v, want %v", aerr, err)

@@ -1,13 +1,15 @@
 package query
 
 import (
-	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"pnn/internal/inference"
+	"pnn/internal/markov"
 	"pnn/internal/mcrand"
+	"pnn/internal/sparse"
 	"pnn/internal/uncertain"
 	"pnn/internal/ustree"
 )
@@ -50,7 +52,7 @@ func TestSamplerCacheSingleFlight(t *testing.T) {
 
 // TestNewEngineFromCarriesCache is the snapshot-swap contract: deriving
 // an engine over an updated tree keeps the adapted samplers of
-// untouched objects, re-adapts exactly the invalidated ones, and keeps
+// untouched objects, re-adapts exactly the updated one, and keeps
 // the cumulative counters shared across versions — while the previous
 // engine stays consistent with its own tree.
 func TestNewEngineFromCarriesCache(t *testing.T) {
@@ -59,7 +61,7 @@ func TestNewEngineFromCarriesCache(t *testing.T) {
 		{{T: 0, State: 34}, {T: 8, State: 30}},
 		{{T: 0, State: 26}, {T: 8, State: 28}},
 	}
-	sp, tree, eng := lineDB(t, 500, obsSets...)
+	_, tree, eng := lineDB(t, 500, obsSets...)
 	if _, err := eng.PrepareAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,21 +69,20 @@ func TestNewEngineFromCarriesCache(t *testing.T) {
 		t.Fatalf("Builds after PrepareAll = %d, want 3", cs.Builds)
 	}
 
-	// Object 1 gains an observation; rebuild its tree entry.
-	objs := append([]*uncertain.Object(nil), tree.Objects()...)
+	// Object 1 gains an observation; the tree derives its new run.
+	objs := tree.Objects()
 	upd, err := uncertain.NewObject(1, append(append([]uncertain.Observation(nil), obsSets[1]...),
 		uncertain.Observation{T: 12, State: 27}), objs[1].Chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs[1] = upd
-	tree2, err := ustree.Build(sp, objs, nil)
+	tree2, err := tree.WithUpdatedObject(1, upd, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := NewEngineFrom(eng, tree2, []int{1})
+	eng2 := NewEngineFrom(eng, tree2)
 
-	// Only the invalidated object re-adapts.
+	// Only the updated object re-adapts.
 	built := 0
 	for oi := range objs {
 		_, b, err := eng2.SamplerCached(oi)
@@ -117,81 +118,59 @@ func TestNewEngineFromCarriesCache(t *testing.T) {
 	}
 }
 
-// TestDeriveWithoutSeeds pins which sampler an invalidated object's next
-// build extends: the last one completed for it, through any number of
-// derivations until the object is rebuilt; never one still in flight or
-// failed; and nothing once the rebuild has taken it.
-func TestDeriveWithoutSeeds(t *testing.T) {
-	_, _, eng := lineDB(t, 10, []uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}})
-	done, _, err := eng.SamplerCached(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seedOf := func(c *samplerCache, oi int) (seed *inference.Sampler) {
-		t.Helper()
-		if _, built, _ := c.get(oi, func(s *inference.Sampler) (*inference.Sampler, error) {
-			seed = s
-			return done, nil
-		}); !built {
-			t.Fatalf("object %d was not rebuilt", oi)
-		}
-		return seed
-	}
+// armedChain is a chain whose matrices panic once armed: a model build
+// that panics, for objects indexed before it was armed.
+type armedChain struct {
+	markov.Chain
+	armed *atomic.Bool
+}
 
-	// Object 0 completed, 1 failed, 2 is in flight, 3 was never asked for.
-	c := newSamplerCache()
-	seedOf(c, 0)
-	c.get(1, func(*inference.Sampler) (*inference.Sampler, error) { return nil, errors.New("contradiction") })
-	c.entries[2] = &cacheEntry{ready: make(chan struct{})}
-
-	d := c.deriveWithout([]int{0, 1, 2, 3})
-	if len(d.entries) != 0 {
-		t.Fatalf("derived cache kept %d invalidated entries", len(d.entries))
+func (c armedChain) At(t int) *sparse.CSR {
+	if c.armed.Load() {
+		panic("boom")
 	}
-	d2 := d.deriveWithout([]int{0}) // invalidated again before anyone rebuilt it
-	for oi, want := range []*inference.Sampler{done, nil, nil, nil} {
-		if got := seedOf(d2, oi); got != want {
-			t.Errorf("object %d rebuilt from seed %p, want %p", oi, got, want)
-		}
-	}
-	// Rebuilt in d2: its seed is spent there, and a cache derived after
-	// the rebuild seeds the next one from the rebuilt sampler.
-	if len(d2.seeds) != 0 {
-		t.Errorf("%d seeds left after every object was rebuilt", len(d2.seeds))
-	}
-	if got := seedOf(d2.deriveWithout([]int{0}), 0); got != done {
-		t.Errorf("rebuilt object seeds from %p, want its rebuilt sampler %p", got, done)
-	}
-	// d never rebuilt object 0 and still holds the seed for its own readers.
-	if got := seedOf(d, 0); got != done {
-		t.Errorf("sibling cache lost its seed: %p", got)
-	}
+	return c.Chain.At(t)
 }
 
 // TestSamplerCachePanicContained: a build that panics must not leave
-// the single-flight entry pending forever — it is demoted to a cached
-// error, and later lookups return it immediately instead of blocking.
+// the object's sampler pending forever or crash the caller — it is
+// demoted to a kept error, and later lookups return it immediately
+// instead of blocking or rebuilding.
 func TestSamplerCachePanicContained(t *testing.T) {
-	c := newSamplerCache()
-	_, built, err := c.get(0, func(*inference.Sampler) (*inference.Sampler, error) { panic("boom") })
-	if !built || err == nil {
-		t.Fatalf("panicking build: built=%v err=%v, want built with error", built, err)
+	sp, objs := LineObjects(t, []uncertain.Observation{{T: 0, State: 30}, {T: 8, State: 32}})
+	c := armedChain{objs[0].Chain, new(atomic.Bool)}
+	o, err := uncertain.NewObject(0, objs[0].Obs, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := ustree.Build(sp, []*uncertain.Object{o}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(tree, 10)
+	c.armed.Store(true)
+	_, built, err := eng.SamplerCached(0)
+	if !built || err == nil || !strings.Contains(err.Error(), "query: adapting object 0: ") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking build: built=%v err=%v, want built with the panic as error", built, err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.get(0, func(*inference.Sampler) (*inference.Sampler, error) {
+		_, built, err := eng.SamplerCached(0)
+		if built {
 			t.Error("second lookup must not rebuild")
-			return nil, nil
-		})
+		}
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Error("cached panic error lost")
+			t.Error("kept panic error lost")
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("lookup after panicking build blocked")
+	}
+	if cs := eng.CacheStats(); cs.Builds != 1 || cs.Hits != 1 {
+		t.Errorf("CacheStats = %+v, want 1 build and 1 hit", cs)
 	}
 }
 

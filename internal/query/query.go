@@ -10,8 +10,9 @@
 //     Apriori-style Algorithm 1.
 //
 // The production path is Monte-Carlo: an Engine per shard supplies
-// UST-tree pruning (Section 6) for candidate and influence sets and
-// caches the forward-backward adapted samplers (Section 5); a Plan run by
+// UST-tree pruning (Section 6) for candidate and influence sets and the
+// forward-backward adapted samplers (Section 5), which the tree keeps per
+// object version and builds from per-gap draw tables; a Plan run by
 // ExecutePlan samples possible worlds with Hoeffding error control
 // (plan.go). The shard package assembles the two into queries. Exact
 // engines (possible-world enumeration and the Lemma 2 joint-chain
@@ -88,20 +89,22 @@ type Stats struct {
 	RefineTime    time.Duration // sampling + NN evaluation
 }
 
-// Engine is one shard's index and sampler cache: the UST-tree that
-// prunes a query window (PruneWindow) and the adapted model and sampler
-// of every object (see cache.go), mirroring the paper's split between
-// the one-off TS phase and the per-query sampling phase. Queries are
-// answered by the shard package over ExecutePlan. Engine is safe for
-// concurrent use.
+// Engine is one shard's query configuration over one version of its
+// index: the UST-tree that prunes a query window (PruneWindow) and holds
+// the adapted sampler of every object (SamplerCached), mirroring the
+// paper's split between the one-off TS phase and the per-query sampling
+// phase. Queries are answered by the shard package over ExecutePlan.
+// Engine is safe for concurrent use.
 type Engine struct {
 	tree     *ustree.Tree
 	samples  int
 	noPrune  bool
 	parallel atomic.Int32
 
-	cache *samplerCache
-	reach *uncertain.Reach // shared chain-transpose cache for adaptation
+	// builds and hits are shared with every engine derived from this one
+	// (NewEngineFrom), so CacheStats stays cumulative across versions.
+	builds, hits *atomic.Int64
+	reach        *uncertain.Reach // shared chain-transpose cache for adaptation
 }
 
 // NewEngine creates an engine over tree whose queries draw `samples`
@@ -113,29 +116,29 @@ func NewEngine(tree *ustree.Tree, samples int) *Engine {
 	e := &Engine{
 		tree:    tree,
 		samples: samples,
-		cache:   newSamplerCache(),
+		builds:  new(atomic.Int64),
+		hits:    new(atomic.Int64),
 		reach:   uncertain.NewReach(),
 	}
 	e.parallel.Store(1)
 	return e
 }
 
-// NewEngineFrom derives an engine over tree, carrying over prev's
-// configuration and sampler cache except for the object indices in
-// invalidate, whose models must be re-adapted against their updated
-// observations — lazily, at the next query that touches them, and
-// extending the sampler they had (inference.ExtendSampler) where it was
-// complete. Object indices must mean the same thing in both trees
-// (appends and in-place updates preserve them). The derived engine
-// shares prev's cumulative cache counters and chain-transpose cache;
-// prev itself stays fully usable over its own tree, which is how
-// RCU-style snapshot swaps keep in-flight queries consistent.
-func NewEngineFrom(prev *Engine, tree *ustree.Tree, invalidate []int) *Engine {
+// NewEngineFrom derives an engine over tree, a successor of prev's
+// tree, carrying over prev's configuration. What the new version's
+// samplers reuse is the tree's to decide: a derived tree shares the runs
+// of untouched objects and the gap records of updated ones
+// (ustree.Tree.WithUpdatedObject). The derived engine shares prev's
+// cumulative counters and chain-transpose cache; prev itself stays
+// fully usable over its own tree, which is how RCU-style snapshot swaps
+// keep in-flight queries consistent.
+func NewEngineFrom(prev *Engine, tree *ustree.Tree) *Engine {
 	e := &Engine{
 		tree:    tree,
 		samples: prev.samples,
 		noPrune: prev.noPrune,
-		cache:   prev.cache.deriveWithout(invalidate),
+		builds:  prev.builds,
+		hits:    prev.hits,
 		reach:   prev.reach,
 	}
 	e.parallel.Store(prev.parallel.Load())

@@ -327,11 +327,10 @@ type ConfidenceJSON struct {
 
 // QuerySpec is the one request schema of every query endpoint: the JSON
 // body of /v1/forallnn, /v1/existsnn and /v1/pcnn, and (tagged with a
-// semantics) each item of /v1/batch. The canonical shape nests the
-// reference under "query" and the interval under "window"; the legacy
-// flat spellings (top-level state/x/y/trajectory/ts/te) decode as
-// aliases and mean exactly the same request. When both spellings appear,
-// the canonical field wins.
+// semantics) each item of /v1/batch. The reference nests under "query"
+// and the interval under "window". The retired flat spellings
+// (top-level state/x/y/trajectory/ts/te) are refused with code
+// use_query_spec, also when the nested fields are present.
 type QuerySpec struct {
 	Query      *QueryRef       `json:"query,omitempty"`
 	Window     *Window         `json:"window,omitempty"`
@@ -801,31 +800,34 @@ func errf(code, field, format string, args ...interface{}) *apiError {
 	return &apiError{code: code, field: field, msg: fmt.Sprintf(format, args...)}
 }
 
-// legacyAliases names the retired flat alias fields a QuerySpec set,
-// each paired with its canonical replacement, for the use_query_spec
-// rejection.
-func legacyAliases(req QuerySpec) []string {
-	var used []string
-	add := func(set bool, alias, canonical string) {
-		if set {
-			used = append(used, fmt.Sprintf("%q is a deprecated alias; use %q", alias, canonical))
+// legacyAlias names the first retired flat field a QuerySpec set and
+// its nested replacement, for the use_query_spec rejection; ok is false
+// when the request spells none.
+func legacyAlias(req QuerySpec) (alias, canonical string, ok bool) {
+	for _, f := range []struct {
+		set              bool
+		alias, canonical string
+	}{
+		{req.State != nil, "state", "query.state"},
+		{req.X != nil, "x", "query.point.x"},
+		{req.Y != nil, "y", "query.point.y"},
+		{req.Trajectory != nil, "trajectory", "query.trajectory"},
+		{req.Ts != nil, "ts", "window.ts"},
+		{req.Te != nil, "te", "window.te"},
+	} {
+		if f.set {
+			return f.alias, f.canonical, true
 		}
 	}
-	add(req.State != nil, "state", "query.state")
-	add(req.X != nil, "x", "query.point.x")
-	add(req.Y != nil, "y", "query.point.y")
-	add(req.Trajectory != nil, "trajectory", "query.trajectory")
-	add(req.Ts != nil, "ts", "window.ts")
-	add(req.Te != nil, "te", "window.te")
-	return used
+	return "", "", false
 }
 
 // toRequest validates one wire request and converts it to a batch
-// Request. A request spelling a legacy flat alias is refused.
+// Request. A request spelling a legacy flat field is refused.
 func (s *Server) toRequest(sem pnn.Semantics, req QuerySpec) (pnn.Request, *apiError) {
-	if aliases := legacyAliases(req); len(aliases) > 0 {
+	if alias, canonical, ok := legacyAlias(req); ok {
 		return pnn.Request{}, errf(CodeUseQuerySpec, "",
-			"legacy flat query fields are no longer accepted (%s); use the nested query/window spelling", aliases[0])
+			"flat query field %q is not accepted; use %q, the nested query/window spelling", alias, canonical)
 	}
 	switch sem {
 	case pnn.ForAll, pnn.Exists, pnn.Continuous:

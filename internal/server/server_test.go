@@ -614,6 +614,11 @@ func TestAliasSunset(t *testing.T) {
 			if !strings.Contains(e.Error.Message, "nested query/window spelling") {
 				t.Errorf("rejection does not point at the canonical spelling: %s", raw)
 			}
+			// No endpoint accepts the flat spelling, so nothing is
+			// deprecated: it is refused.
+			if strings.Contains(e.Error.Message, "deprecated") {
+				t.Errorf("rejection words the flat spelling as a deprecated alias: %s", raw)
+			}
 		})
 	}
 

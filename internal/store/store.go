@@ -11,10 +11,12 @@
 // mutex, build a private copy-on-write successor (ustree.Clone + Insert
 // for new objects, ustree.WithUpdatedObject for observation writes: the
 // per-object run headers copied, the diamonds of the gaps the write adds
-// computed), freeze it, and publish it with one atomic store. The
-// successor engine carries over the adapted sampler of every untouched
-// object, and an updated object's as the seed its next build extends by
-// the new gaps, so ingestion does not cold-start the cache.
+// computed), freeze it, and publish it with one atomic store. The draw
+// tables live in the tree with the rectangles, one per gap, and the
+// sampler of each object version with its run: the successor keeps the
+// sampler of every untouched object and the tables of every gap an
+// updated object keeps, so ingestion does not cold-start adaptation and
+// an updated object's next query adapts only the gaps the write added.
 package store
 
 import (
@@ -173,8 +175,8 @@ func (s *Store) SetParallelism(workers int) {
 // AddObject indexes a new object and publishes the successor snapshot,
 // which it returns. The object's ID must be unused and its observations
 // consistent with its chain. Cost is one copy of the per-object run
-// headers plus the new object's diamonds; the sampler cache carries over
-// completely.
+// headers plus the new object's diamonds; every adapted sampler carries
+// over.
 func (s *Store) AddObject(o *uncertain.Object) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,7 +192,7 @@ func (s *Store) AddObject(o *uncertain.Object) (*Snapshot, error) {
 	tree.Freeze()
 	next := &Snapshot{
 		Version:   cur.Version + 1,
-		Engine:    query.NewEngineFrom(cur.Engine, tree, nil),
+		Engine:    query.NewEngineFrom(cur.Engine, tree),
 		IDs:       append(append(make([]int, 0, len(cur.IDs)+1), cur.IDs...), o.ID),
 		ChangedID: o.ID,
 	}
@@ -204,8 +206,8 @@ func (s *Store) AddObject(o *uncertain.Object) (*Snapshot, error) {
 // observations are accepted as long as the merged sequence stays
 // consistent: duplicate timestamps and motions the chain cannot realize
 // are rejected, leaving the current snapshot untouched. The object
-// keeps its engine index; only its sampler is invalidated, into the seed
-// of its successor; every other object's adapted model carries over.
+// keeps its engine index and the draw tables of the gaps the write
+// leaves; every other object's adapted sampler carries over.
 func (s *Store) Observe(id int, obs []uncertain.Observation) (*Snapshot, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("store: Observe(%d) with no observations", id)
@@ -233,7 +235,7 @@ func (s *Store) Observe(id int, obs []uncertain.Observation) (*Snapshot, error) 
 	tree.Freeze()
 	next := &Snapshot{
 		Version:   cur.Version + 1,
-		Engine:    query.NewEngineFrom(cur.Engine, tree, []int{oi}),
+		Engine:    query.NewEngineFrom(cur.Engine, tree),
 		IDs:       cur.IDs,
 		ChangedID: id,
 	}

@@ -703,17 +703,23 @@ func (s *knnSnap) nearest(q int) ([]int, int) {
 
 func knnPayload(ids []int, meta any) string { return fmt.Sprint(ids, meta) }
 
-func (db *knnDB) eval(key string, metas []any, _ any) Pass {
-	s := db.snap.Load()
+// pass is group key's pass over the snapshot: the k nearest objects of
+// the key's point, answered to every member.
+func (s *knnSnap) pass(key string, metas []any) Pass {
 	q, _ := strconv.Atoi(key)
 	ids, reach := s.nearest(q)
-	// Hold the pass open so writes land while it runs.
-	time.Sleep(200 * time.Microsecond)
 	p := Pass{Evals: make([]Eval, len(metas)), Influencers: ids, Region: knnRegion{q, reach}}
 	for i, m := range metas {
 		p.Evals[i] = Eval{Version: s.version, Payload: knnPayload(ids, m)}
 	}
 	return p
+}
+
+func (db *knnDB) eval(key string, metas []any, _ any) Pass {
+	s := db.snap.Load()
+	// Hold the pass open so writes land while it runs.
+	time.Sleep(200 * time.Microsecond)
+	return s.pass(key, metas)
 }
 
 // write moves object o to x and returns the write's touch test.
@@ -844,4 +850,56 @@ func runInterleaving(t *testing.T, sweep time.Duration) {
 		t.Errorf("%d touch tests for %d writes over %d groups, want at most %d", st.TouchTests, writes.Load(), len(keys), limit)
 	}
 	t.Logf("%d writes, %d members (%d live), %d touch tests, %d passes", writes.Load(), len(members), len(live), st.TouchTests, st.Evaluations)
+}
+
+// TestLateWriteRetested pins the late-write re-test deterministically: a
+// group pass blocks after reading its snapshot, a write lands inside the
+// region that pass will publish but outside the one it replaces, and the
+// pass is released. The write must re-evaluate the group, so the
+// member's last event equals a fresh evaluation at the final snapshot.
+func TestLateWriteRetested(t *testing.T) {
+	db := &knnDB{}
+	// The 2 nearest of point 50 are objects 0 and 1, within 2; object 2
+	// is far.
+	db.snap.Store(&knnSnap{version: 1, pos: []int{50, 52, 90}})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var passes atomic.Int32
+	eval := func(key string, metas []any, _ any) Pass {
+		s := db.snap.Load()
+		if passes.Add(1) == 2 {
+			close(entered)
+			<-release
+		}
+		return s.pass(key, metas)
+	}
+	r := New(Options{Workers: 1, GroupEval: eval})
+	defer r.Close()
+	s := r.Subscribe("50", Delivery{QueueCap: 16}, "m")
+	collect(t, s, 1)
+
+	// Influencer 1 moves away: the region grows to 20 in the pass this
+	// write starts, which blocks once it has read the snapshot.
+	r.NotifyWrite(1, db.write(1, 70))
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the write did not start a group pass")
+	}
+	// Object 2 moves to 60: outside the published region (reach 2),
+	// inside the one the blocked pass will publish (reach 20), and one of
+	// the 2 nearest at the final snapshot.
+	r.NotifyWrite(2, db.write(2, 60))
+	close(release)
+	if !r.WaitIdle(5 * time.Second) {
+		t.Fatal("registry did not quiesce")
+	}
+	var last Event
+	for len(s.Events()) > 0 {
+		last = <-s.Events()
+	}
+	final := db.snap.Load()
+	ids, _ := final.nearest(50)
+	if want := knnPayload(ids, "m"); last.Version != final.version || last.Payload != want {
+		t.Fatalf("last event %v at version %d, want %v at version %d", last.Payload, last.Version, want, final.version)
+	}
 }

@@ -10,6 +10,13 @@
 // diamond approximation and dmin/dmax pruning — lives in the rectangles.
 // In exchange an observation append costs the one gap it adds.
 //
+// Each gap record also holds the gap's draw tables (Algorithm 2's output
+// in sampling form, Section 5.2), and each object's run the sampler
+// assembled from them (Tree.Sampler), both built on first use. A gap's
+// rectangles and tables depend only on its two observations and the
+// chain, so the one decision of what a write carries over — which gaps
+// an updated object keeps — serves both.
+//
 // At query time the index produces, for a query position function q(t) and
 // a time interval T:
 //
@@ -29,18 +36,44 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"pnn/internal/geo"
+	"pnn/internal/inference"
 	"pnn/internal/space"
 	"pnn/internal/uncertain"
 )
 
-// gapApprox is the approximation of one observation gap: per-timestep
-// bounding rectangles of the diamond. Once built it is immutable and
-// shared between every tree version that indexes the gap.
+// gapApprox is the record of one observation gap: per-timestep bounding
+// rectangles of the diamond, and the gap's draw tables. Once built the
+// rectangles are immutable; the record is copied by value between every
+// tree version that indexes the gap, so the copies share draw, and with
+// it the tables, built at most once.
 type gapApprox struct {
 	t0    int // first timestep covered
 	rects []geo.Rect
+	draw  *gapDraw // nil for a single observation's instant
+}
+
+// gapDraw holds a gap's draw tables (inference.AdaptGapTable), or the
+// error their build returned, once the first sampler needing them has
+// built them. Observations are exact, so the tables are a function of
+// the gap's two observations and the chain alone, like its rectangles.
+type gapDraw struct {
+	once  sync.Once
+	table *inference.GapTable
+	err   error
+}
+
+// objRun is one version of one object in the index: its gaps in time
+// order, indexed by gap, and the sampler assembled from their tables,
+// built on first use. A single-observation object has one gap record
+// covering its instant and a sampler over no gaps.
+type objRun struct {
+	gaps []gapApprox
+	once sync.Once
+	smp  *inference.Sampler
+	err  error
 }
 
 // Tree is a UST-tree over a database of uncertain objects.
@@ -54,9 +87,9 @@ type gapApprox struct {
 type Tree struct {
 	sp   *space.Space
 	objs []*uncertain.Object
-	// runs[oi] holds object oi's gaps in time order, indexed by gap; a
-	// single-observation object has one run entry covering its instant.
-	runs    [][]gapApprox
+	// runs[oi] holds the current version of object oi; versions of the
+	// tree share the runs of the objects they do not change.
+	runs    []*objRun
 	leaves  int    // total number of gaps across runs
 	horizon [2]int // min/max observed timestamps across the database
 	frozen  bool   // published to concurrent readers; Insert refused
@@ -103,7 +136,7 @@ func newTree(sp *space.Space, n int) *Tree {
 	return &Tree{
 		sp:      sp,
 		objs:    make([]*uncertain.Object, 0, n),
-		runs:    make([][]gapApprox, 0, n),
+		runs:    make([]*objRun, 0, n),
 		horizon: [2]int{math.MaxInt32, math.MinInt32},
 	}
 }
@@ -111,19 +144,21 @@ func newTree(sp *space.Space, n int) *Tree {
 // computeRun materializes the per-timestep rectangle approximation of
 // every observation gap of o — the expensive reachability sweeps of the
 // index build. Gaps o shares with prev (same two observations, same
-// chain; prev may be nil) take their rectangles from prevRun, prev's run,
-// so only gaps prev does not have are swept.
-func computeRun(sp *space.Space, o *uncertain.Object, reach *uncertain.Reach, prev *uncertain.Object, prevRun []gapApprox) ([]gapApprox, error) {
+// chain; prev may be nil) take their records from prevRun, prev's run,
+// so only gaps prev does not have are swept, and the shared gaps keep
+// their draw tables, built or not. This is the one place that decides
+// what a write carries over.
+func computeRun(sp *space.Space, o *uncertain.Object, reach *uncertain.Reach, prev *uncertain.Object, prevRun *objRun) (*objRun, error) {
 	if len(o.Obs) == 1 {
 		ob := o.Obs[0]
 		r := geo.RectFromPoint(sp.Point(ob.State))
-		return []gapApprox{{t0: ob.T, rects: []geo.Rect{r}}}, nil
+		return &objRun{gaps: []gapApprox{{t0: ob.T, rects: []geo.Rect{r}}}}, nil
 	}
 	same := o.SameGaps(prev)
 	run := make([]gapApprox, len(same))
 	for g, pg := range same {
 		if pg >= 0 {
-			run[g] = prevRun[pg]
+			run[g] = prevRun.gaps[pg]
 			continue
 		}
 		d, err := reach.Diamond(o, g)
@@ -138,16 +173,19 @@ func computeRun(sp *space.Space, o *uncertain.Object, reach *uncertain.Reach, pr
 			}
 			rects[k] = r
 		}
-		run[g] = gapApprox{t0: o.Obs[g].T, rects: rects}
+		run[g] = gapApprox{t0: o.Obs[g].T, rects: rects, draw: &gapDraw{}}
 	}
-	return run, nil
+	return &objRun{gaps: run}, nil
 }
 
 // setRun registers run as the gaps of the object at index oi, which
 // t.objs[oi] already names, in place of whatever run it had. The horizon
 // is extended, never rescanned: observations are only ever added.
-func (t *Tree) setRun(oi int, run []gapApprox) {
-	t.leaves += len(run) - len(t.runs[oi])
+func (t *Tree) setRun(oi int, run *objRun) {
+	if prev := t.runs[oi]; prev != nil {
+		t.leaves -= len(prev.gaps)
+	}
+	t.leaves += len(run.gaps)
 	t.runs[oi] = run
 	o := t.objs[oi]
 	t.horizon[0] = min(t.horizon[0], o.First().T)
@@ -163,15 +201,15 @@ func (t *Tree) Freeze() { t.frozen = true }
 func (t *Tree) Frozen() bool { return t.frozen }
 
 // Clone returns an unfrozen deep-enough copy for copy-on-write
-// mutation: the object table and the run headers are copied (two words
-// and a slice header per object), while the immutable space, objects and
-// per-gap rectangle data are shared. Inserting into the clone leaves the
-// original — and any reader holding it — untouched.
+// mutation: the object table and the run pointers are copied (two words
+// per object), while the immutable space, objects and runs — rectangles,
+// draw tables and samplers — are shared. Inserting into the clone leaves
+// the original — and any reader holding it — untouched.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
 		sp:      t.sp,
 		objs:    append([]*uncertain.Object(nil), t.objs...),
-		runs:    append([][]gapApprox(nil), t.runs...),
+		runs:    append([]*objRun(nil), t.runs...),
 		leaves:  t.leaves,
 		horizon: t.horizon,
 	}
@@ -206,13 +244,15 @@ func (t *Tree) Insert(o *uncertain.Object, reach *uncertain.Reach) (int, error) 
 // the object at index oi is replaced by upd, which must carry every
 // observation of the object it replaces — the index path of an
 // observation write. It costs the gaps the write adds: a gap whose two
-// observations are unchanged keeps its rectangles, and the reachability
-// sweep (the cost that dominates index builds) runs only for the others
-// — one for an append or a prepend, two where a late observation splits
-// a gap. Beyond that the derived tree is a copy of the per-object
-// headers with one run replaced; every other object's run is shared
-// with t, whose readers keep their frozen view. A contradicting upd
-// returns an error and leaves t untouched.
+// observations are unchanged keeps its rectangles and its draw tables,
+// and the reachability sweep (the cost that dominates index builds) runs
+// only for the others — one for an append or a prepend, two where a late
+// observation splits a gap; their tables are adapted when the updated
+// object's sampler is first asked for. Beyond that the derived tree is a
+// copy of the per-object headers with one run replaced; every other
+// object's run, sampler included, is shared with t, whose readers keep
+// their frozen view. A contradicting upd returns an error and leaves t
+// untouched.
 func (t *Tree) WithUpdatedObject(oi int, upd *uncertain.Object, reach *uncertain.Reach) (*Tree, error) {
 	if oi < 0 || oi >= len(t.objs) {
 		return nil, fmt.Errorf("ustree: no object at index %d", oi)
@@ -262,8 +302,48 @@ func (t *Tree) RectAt(oi, tt int) (geo.Rect, bool) {
 	if !ok {
 		return geo.EmptyRect(), false
 	}
-	ga := &t.runs[oi][g]
+	ga := &t.runs[oi].gaps[g]
 	return ga.rects[tt-ga.t0], true
+}
+
+// Sampler returns the a-posteriori sampler of object oi (Section 5.2),
+// assembled from the draw tables of its gaps and built on first use:
+// at most once per object version, and each gap's tables at most once
+// across every tree version that shares the gap. built reports whether
+// this call performed the build. Errors are kept like samplers, and a
+// build that panics is kept as an error, so a poisoned object cannot
+// block or crash later lookups. reach is the chain-transpose cache the
+// build adapts with; nil allocates one. Safe for concurrent use.
+func (t *Tree) Sampler(oi int, reach *uncertain.Reach) (s *inference.Sampler, built bool, err error) {
+	r, o := t.runs[oi], t.objs[oi]
+	r.once.Do(func() {
+		built = true
+		gaps := make([]*inference.GapTable, len(o.Obs)-1)
+		for g := range gaps {
+			if gaps[g], r.err = r.gaps[g].table(o, g, reach); r.err != nil {
+				return
+			}
+		}
+		r.smp = inference.AssembleSampler(o, gaps)
+	})
+	return r.smp, built, r.err
+}
+
+// table returns the draw tables of ga, gap g of o, building them on
+// first use.
+func (ga *gapApprox) table(o *uncertain.Object, g int, reach *uncertain.Reach) (*inference.GapTable, error) {
+	d := ga.draw
+	d.once.Do(func() {
+		// The once is spent even if the build panics; keep the panic as
+		// the gap's error, or every later sampler would draw from nil.
+		defer func() {
+			if p := recover(); p != nil {
+				d.table, d.err = nil, fmt.Errorf("ustree: adapting gap %d of object %d panicked: %v", g, o.ID, p)
+			}
+		}()
+		d.table, d.err = inference.AdaptGapTable(o, g, reach)
+	})
+	return d.table, d.err
 }
 
 // MayInfluence reports whether object oi can come within bound[t-ts] of
@@ -346,8 +426,9 @@ func (t *Tree) PruneK(q func(int) geo.Point, ts, te, k int) Pruning {
 			dmax[i] = math.NaN()
 		}
 		dmin := dmins[len(dmins)-nT:]
-		for gi := range t.runs[oi] {
-			g := &t.runs[oi][gi]
+		run := t.runs[oi].gaps
+		for gi := range run {
+			g := &run[gi]
 			lo := max(ts, g.t0)
 			hi := min(te, g.t0+len(g.rects)-1)
 			for tt := lo; tt <= hi; tt++ {

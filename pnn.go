@@ -430,12 +430,13 @@ type Stats struct {
 	BudgetReused bool
 }
 
-// CacheStats reports the processor's cumulative sampler-cache traffic:
-// Builds counts model adaptations — at most one per object per engine
-// version, so on a static database it freezes at the number of distinct
-// objects touched, while every Observe invalidates that object's
-// sampler and costs one more build on next use. Hits counts lookups
-// served from cache and keeps growing with repeat traffic.
+// CacheStats reports the processor's cumulative sampler traffic:
+// Builds counts model adaptations — at most one per object version, so
+// on a static database it freezes at the number of distinct objects
+// touched, while every Observe makes a new version of that object, whose
+// next use costs one more build (adapting only the gaps the write
+// added). Hits counts lookups answered by a built sampler and keeps
+// growing with repeat traffic.
 type CacheStats = query.CacheStats
 
 // ForAllNN returns every object whose probability of being the nearest
